@@ -46,11 +46,12 @@ def prefix_set(stream: SetStream) -> SetStream:
 
 def prefix_code_sampler(stream: SetStream, domain_bound: int) -> Sampler:
     """The injection k -> code of the stream's length-k prefix."""
-    return Sampler.from_function(
+    # Codes of length-k strings fill [2^k - 1, 2^(k+1) - 1), so distinct k never collide.
+    return Sampler(
         lambda k: string_code(stream.prefix(k)),
         "injection",
-        domain_bound,
         f"prefix-codes({stream.label})",
+        domain_bound,
     )
 
 
@@ -199,8 +200,6 @@ class WctInjection:
     def __post_init__(self):
         if len(self.table) != factorial(self.max_n):
             raise ValueError("table must cover [0, max_n!)")
-        if len(set(self.table)) != len(self.table):
-            raise ValueError("table is not injective")
 
     def as_sampler(self) -> Sampler:
         return Sampler.from_table(

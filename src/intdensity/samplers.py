@@ -1,9 +1,12 @@
 """Total injections and permutations as evaluable programs.
 
 A Sampler evaluates a total function on [0, domain_bound) (or on all of
-the naturals when unbounded) and checks injectivity incrementally: every
-evaluation is logged, and a repeated value is a hard error because it
-proves the program is not a valid sampler.
+the naturals when unbounded).  Injectivity is settled where a sampler is
+built: tables are checked when they are built, and the builtins, the
+prefix-code samplers and the guess-driven injection are injective by
+construction.  Only `Sampler.from_function`, whose injectivity is
+unknown, logs every evaluation; a repeated value there is a hard error
+because it proves the program is not a valid sampler.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from .streams import SetStream, partial_density
 
 
 class Sampler:
-    """A total injection or permutation with an injectivity log."""
+    """A total injection or permutation, injective by how it was built."""
 
-    __slots__ = ("kind", "label", "domain_bound", "_raw", "_seen", "_lock", "_table")
+    __slots__ = ("kind", "label", "domain_bound", "_raw", "_table", "_involution")
 
     def __init__(
         self,
@@ -29,6 +32,7 @@ class Sampler:
         label: str,
         domain_bound: Optional[int] = None,
         table: Optional[tuple[int, ...]] = None,
+        involution: bool = False,
     ):
         if kind not in ("injection", "permutation"):
             raise ValueError(f"kind must be injection or permutation, got {kind!r}")
@@ -37,8 +41,7 @@ class Sampler:
         self.domain_bound = domain_bound
         self._raw = raw
         self._table = table
-        self._seen: dict[int, int] = {}
-        self._lock = threading.Lock()
+        self._involution = involution
 
     def __repr__(self):
         bound = "unbounded" if self.domain_bound is None else self.domain_bound
@@ -51,7 +54,7 @@ class Sampler:
 
     @classmethod
     def identity(cls) -> "Sampler":
-        return cls(lambda x: x, "permutation", "identity")
+        return cls(lambda x: x, "permutation", "identity", involution=True)
 
     @classmethod
     def double(cls) -> "Sampler":
@@ -76,7 +79,7 @@ class Sampler:
                 return x - k
             return x
 
-        return cls(raw, "permutation", f"swapblocks:{k}")
+        return cls(raw, "permutation", f"swapblocks:{k}", involution=True)
 
     @classmethod
     def from_table(
@@ -94,10 +97,13 @@ class Sampler:
         table = tuple(values)
         if any(v < 0 for v in table):
             raise ValueError("table values must be naturals")
-        if len(set(table)) != len(table):
-            dup = next(v for i, v in enumerate(table) if v in table[:i])
-            raise InjectivityError(f"table repeats value {dup}")
-        is_perm = sorted(table) == list(range(len(table)))
+        seen: set[int] = set()
+        for v in table:
+            if v in seen:
+                raise InjectivityError(f"table repeats value {v}")
+            seen.add(v)
+        # n distinct naturals whose maximum is n - 1 are exactly 0..n-1.
+        is_perm = max(table, default=-1) == len(table) - 1
         if kind is None:
             kind = "permutation" if is_perm else "injection"
         if kind == "permutation" and not is_perm:
@@ -124,7 +130,19 @@ class Sampler:
         domain_bound: int = None,
         label: str = "custom",
     ) -> "Sampler":
-        return cls(fn, kind, label, domain_bound)
+        """Sampler of unknown injectivity: every value is logged, a repeat raises."""
+        seen: dict[int, int] = {}
+        lock = threading.Lock()
+
+        def checked(x: int) -> int:
+            value = fn(x)
+            with lock:
+                prev = seen.setdefault(value, x)
+            if prev != x:
+                raise InjectivityError(f"{label} maps both {prev} and {x} to {value}")
+            return value
+
+        return cls(checked, kind, label, domain_bound)
 
     # -- permutation inversion ----------------------------------------
 
@@ -139,8 +157,8 @@ class Sampler:
             return Sampler.from_table(
                 inv, "permutation", self.domain_bound, f"inv({self.label})"
             )
-        if self.label == "identity" or self.label.startswith("swapblocks:"):
-            return self  # self-inverse builtins
+        if self._involution:
+            return self
         raise ValueError(f"no inverse available for {self.label}")
 
 
@@ -186,20 +204,13 @@ def load_table_csv(path) -> list[int]:
 
 
 def eval_sampler(sampler: Sampler, x: int) -> int:
-    """Evaluate the sampler, logging the value for injectivity checking."""
+    """Evaluate the sampler at a natural number inside its domain."""
     if x < 0:
         raise DomainError(f"sampler input {x} is not a natural number")
     bound = sampler.domain_bound
     if bound is not None and x >= bound:
         raise DomainError(f"input {x} outside sampler domain [0, {bound})")
-    value = sampler._raw(x)
-    with sampler._lock:
-        prev = sampler._seen.setdefault(value, x)
-    if prev != x:
-        raise InjectivityError(
-            f"{sampler.label} maps both {prev} and {x} to {value}"
-        )
-    return value
+    return sampler._raw(x)
 
 
 def image_interval(sampler: Sampler, n: int) -> set[int]:

@@ -223,20 +223,21 @@ class FamilyRegistry:
     def __len__(self):
         return len(self.programs)
 
+    def _run(self, index: int, x: int) -> Optional[tuple[int, int]]:
+        """(value, steps) at x, or None on divergence or budget overrun."""
+        result = self.programs[index].fn(x)
+        if result is None or result[1] > self.budget:
+            return None
+        return result
+
     def eval(self, index: int, x: int) -> Optional[int]:
         """The program's value at x, or None on divergence or budget overrun."""
-        result = self.programs[index].fn(x)
-        if result is None:
-            return None
-        value, steps = result
-        return value if steps <= self.budget else None
+        result = self._run(index, x)
+        return None if result is None else result[0]
 
     def steps(self, index: int, x: int) -> Optional[int]:
-        result = self.programs[index].fn(x)
-        if result is None:
-            return None
-        _, steps = result
-        return steps if steps <= self.budget else None
+        result = self._run(index, x)
+        return None if result is None else result[1]
 
 
 def parse_manifest(lines, budget: int) -> FamilyRegistry:
@@ -264,13 +265,13 @@ def table_of_program(registry: FamilyRegistry, index: int, horizon: int) -> Weak
     triples = []
     slowest = 0
     for x in range(horizon + 1):
-        steps = registry.steps(index, x)
-        if steps is None:
+        result = registry._run(index, x)
+        if result is None:
             break
+        value, steps = result
         slowest = max(slowest, steps)
         if slowest > horizon:
             break
-        value = registry.eval(index, x)
         triples.extend((x, value, z) for z in range(slowest, horizon + 1))
     return WeakRepTable.from_triples(triples, horizon)
 

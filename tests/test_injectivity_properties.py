@@ -1,0 +1,86 @@
+"""Property oracle: samplers built without the per-evaluation log are injective.
+
+Each sampler is read back through `Sampler.from_function`, which logs
+every value and raises InjectivityError on a repeat, and the image of a
+random domain prefix must have exactly as many elements as the prefix.
+"""
+
+from math import factorial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from intdensity import (
+    InjectivityError,
+    Sampler,
+    SetStream,
+    WctInjection,
+    build_wct_injection,
+    image_interval,
+    prefix_code_sampler,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def assert_injective_on_prefix(sampler, n):
+    logged = Sampler.from_function(sampler, sampler.kind, sampler.domain_bound, sampler.label)
+    assert len(image_interval(logged, n)) == n
+
+
+@PROPERTY
+@given(
+    builtin=st.sampled_from(["identity", "double", "shift", "swapblocks"]),
+    k=st.integers(0, 50),
+    n=st.integers(0, 300),
+)
+def test_builtins_are_injective(builtin, k, n):
+    sampler = {
+        "identity": Sampler.identity,
+        "double": Sampler.double,
+        "shift": lambda: Sampler.shift(k),
+        "swapblocks": lambda: Sampler.swapblocks(k + 1),
+    }[builtin]()
+    assert_injective_on_prefix(sampler, n)
+
+
+@PROPERTY
+@given(st.permutations(range(12)), st.integers(0, 40), st.data())
+def test_identity_extended_permutation_tables_are_injective(table, extra, data):
+    sampler = Sampler.from_table(table, domain_bound=len(table) + extra)
+    assert sampler.kind == "permutation"
+    n = data.draw(st.integers(0, sampler.domain_bound))
+    assert_injective_on_prefix(sampler, n)
+    assert_injective_on_prefix(sampler.inverse(), n)
+
+
+@PROPERTY
+@given(st.integers(0, 10**6), st.integers(0, 200), st.data())
+def test_prefix_code_samplers_are_injective(seed, horizon, data):
+    stream = SetStream.from_spec(f"seed:{seed}", horizon)
+    sampler = prefix_code_sampler(stream, horizon + 1)
+    assert_injective_on_prefix(sampler, data.draw(st.integers(0, horizon + 1)))
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.data())
+def test_wct_injection_is_injective_for_any_guesses(max_n, data):
+    guesses = {
+        n: data.draw(st.text("01", max_size=2 * factorial(n)), label=f"guess {n}")
+        for n in range(1, max_n + 1)
+    }
+    sampler = build_wct_injection(guesses, max_n).as_sampler()
+    assert_injective_on_prefix(sampler, factorial(max_n))
+
+
+@PROPERTY
+@given(st.integers(2, 4), st.data())
+def test_hand_built_wct_injection_with_a_repeat_is_rejected(max_n, data):
+    size = factorial(max_n)
+    table = data.draw(st.lists(st.integers(0, 3 * size), min_size=size, max_size=size))
+    i, j = data.draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+    table[j] = table[i]
+    injection = WctInjection(max_n, tuple(table), {})
+    with pytest.raises(InjectivityError, match=r"^table repeats value \d+$"):
+        injection.as_sampler()

@@ -1,7 +1,8 @@
-"""Samplers: evaluation, injectivity logging, images, preimage densities."""
+"""Samplers: evaluation, injectivity checks, images, preimage densities."""
 
 import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
@@ -49,6 +50,19 @@ class TestEval:
     def test_duplicate_table_rejected_eagerly(self):
         with pytest.raises(InjectivityError):
             Sampler.from_table([1, 1, 0])
+
+    def test_first_repeat_in_input_order_is_reported(self):
+        # 1 is the first value that occurs twice, but 2 is repeated first.
+        with pytest.raises(InjectivityError, match=r"^table repeats value 2$"):
+            Sampler.from_table([3, 1, 2, 2, 1])
+
+    def test_long_duplicate_table_rejected_in_linear_time(self):
+        table = list(range(200_000))
+        table[-1] = 0
+        start = perf_counter()
+        with pytest.raises(InjectivityError, match=r"^table repeats value 0$"):
+            Sampler.from_table(table)
+        assert perf_counter() - start < 2.0
 
     def test_callable_sugar(self):
         assert Sampler.identity()(9) == 9
@@ -149,6 +163,13 @@ class TestInverse:
     def test_injections_not_invertible(self):
         with pytest.raises(ValueError):
             Sampler.double().inverse()
+
+    def test_label_does_not_make_an_inverse(self):
+        rotate = lambda x: (x + 1) % 3 if x < 3 else x
+        for label in ("swapblocks:9", "identity"):
+            spoof = Sampler.from_function(rotate, "permutation", None, label)
+            with pytest.raises(ValueError):
+                spoof.inverse()
 
     def test_image_stream_permutes_members(self):
         stream = SetStream.from_members([0, 4], 8)

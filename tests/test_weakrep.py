@@ -31,6 +31,7 @@ from intdensity import (
     table_of_program,
     validate_weakrep,
 )
+from intdensity.weakrep import Program
 
 BUILTINS = [
     "identity",
@@ -145,6 +146,18 @@ class TestTableOfProgram:
             for z in range(1, 7):
                 expected = x if (z > x and x < z) else None
                 assert eval_step(table, x, z) == expected
+
+    def test_one_program_run_per_input(self):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return (x, x + 1)
+
+        registry = FamilyRegistry((Program("counting", counting),), 64)
+        table_of_program(registry, 0, 6)
+        # Inputs 0..6 are each run once; 7 steps at x = 6 pass the horizon and stop the scan.
+        assert calls == list(range(7))
 
     def test_divergent_program_gives_empty_table(self):
         registry = parse_manifest(["diverge"], 64)
