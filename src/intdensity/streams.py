@@ -23,6 +23,9 @@ _MIX_MUL_1 = 0xBF58476D1CE4E5B9
 _MIX_MUL_2 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 
+# Renders a 0/1 byte buffer as the characters "0"/"1".
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 def splitmix64(seed: int, index: int) -> int:
     """The index-th 64-bit output of the documented splitmix-style mixer."""
@@ -33,13 +36,19 @@ def splitmix64(seed: int, index: int) -> int:
 
 
 class _Backend:
-    """Bit source; subclasses may provide faster counting and selection."""
+    """Bit source; subclasses may provide faster counting, rendering and selection."""
 
     def bit(self, index: int) -> int:
         raise NotImplementedError
 
     def count_below(self, n: int) -> int:
         return sum(self.bit(i) for i in range(n))
+
+    def prefix(self, n: int) -> str:
+        return "".join("1" if self.bit(i) else "0" for i in range(n))
+
+    def members_below(self, n: int) -> list[int]:
+        return [i for i in range(n) if self.bit(i)]
 
     def kth_one(self, k: int, bound: int) -> Optional[int]:
         found = 0
@@ -79,6 +88,9 @@ class _Members(_Backend):
     def count_below(self, n):
         return bisect_left(self._members, n)
 
+    def members_below(self, n):
+        return self._members[: bisect_left(self._members, n)]
+
     def kth_one(self, k, bound):
         if k < len(self._members) and self._members[k] < bound:
             return self._members[k]
@@ -109,6 +121,20 @@ class _Buffered(_Backend):
     def count_below(self, n):
         self._ensure(n)
         return self._buf.count(1, 0, n)
+
+    def prefix(self, n):
+        self._ensure(n)
+        return self._buf[:n].translate(_BIT_CHARS).decode("ascii")
+
+    def members_below(self, n):
+        self._ensure(n)
+        buf = self._buf
+        found = []
+        pos = buf.find(1, 0, n)
+        while pos >= 0:
+            found.append(pos)
+            pos = buf.find(1, pos + 1, n)
+        return found
 
     def kth_one(self, k, bound):
         self._ensure(bound)
@@ -214,15 +240,20 @@ class SetStream:
         return self._backend.count_below(n)
 
     def prefix(self, n: int) -> str:
-        """The first n bits as a binary string."""
+        """The first n bits as a binary string.
+
+        Backends render it in bulk where they can: buffered streams slice
+        their byte buffer and translate it in one call.
+        """
         if n < 0 or n > self._horizon:
             raise HorizonError(f"prefix length {n} outside [0, {self._horizon}]")
-        return "".join("1" if self._backend.bit(i) else "0" for i in range(n))
+        return self._backend.prefix(n)
 
     def members_below(self, n: int) -> list[int]:
+        """The members strictly below n, in increasing order."""
         if n < 0 or n > self._horizon:
             raise HorizonError(f"bound {n} outside [0, {self._horizon}]")
-        return [i for i in range(n) if self._backend.bit(i)]
+        return self._backend.members_below(n)
 
     def complement(self) -> "SetStream":
         return SetStream(_Complement(self._backend), self._horizon, f"~({self._label})")

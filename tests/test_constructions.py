@@ -1,6 +1,7 @@
 """Prefix sets, tree decoding, the guess-driven injection, graphs and traces."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -29,6 +30,7 @@ from intdensity import (
     trace_from_sampler,
     wct_target,
 )
+from intdensity.cli import main
 from intdensity.constructions import format_guess_lines, load_guess_lines
 
 
@@ -143,6 +145,23 @@ class TestPrefixTree:
             build_prefix_tree(Sampler.identity(), q=0, full_height=0, depth=2)
         with pytest.raises(ValueError):
             build_prefix_tree(Sampler.identity(), q=1, full_height=30, depth=40)
+
+    def test_full_height_cap_is_refused_up_front(self, capsys):
+        # Height 21 would allocate ~600 MB; the refusal must come first.
+        with pytest.raises(ValueError, match="above height 20"):
+            build_prefix_tree(Sampler.identity(), q=1, full_height=21, depth=21)
+        tracemalloc.start()
+        try:
+            code = main([
+                "tree-decode", "--prefix-sampler-of", "seed:1",
+                "--q", "2", "--full-height", "21", "--depth", "21",
+            ])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "above height 20" in capsys.readouterr().err
+        assert peak < 1 << 20
 
 
 class TestWctTarget:
