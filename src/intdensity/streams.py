@@ -47,9 +47,6 @@ class _Backend:
     def prefix(self, n: int) -> str:
         return "".join("1" if self.bit(i) else "0" for i in range(n))
 
-    def members_below(self, n: int) -> list[int]:
-        return [i for i in range(n) if self.bit(i)]
-
     def kth_one(self, k: int, bound: int) -> Optional[int]:
         found = 0
         for i in range(bound):
@@ -88,9 +85,6 @@ class _Members(_Backend):
     def count_below(self, n):
         return bisect_left(self._members, n)
 
-    def members_below(self, n):
-        return self._members[: bisect_left(self._members, n)]
-
     def kth_one(self, k, bound):
         if k < len(self._members) and self._members[k] < bound:
             return self._members[k]
@@ -125,16 +119,6 @@ class _Buffered(_Backend):
     def prefix(self, n):
         self._ensure(n)
         return self._buf[:n].translate(_BIT_CHARS).decode("ascii")
-
-    def members_below(self, n):
-        self._ensure(n)
-        buf = self._buf
-        found = []
-        pos = buf.find(1, 0, n)
-        while pos >= 0:
-            found.append(pos)
-            pos = buf.find(1, pos + 1, n)
-        return found
 
     def kth_one(self, k, bound):
         self._ensure(bound)
@@ -250,10 +234,9 @@ class SetStream:
         return self._backend.prefix(n)
 
     def members_below(self, n: int) -> list[int]:
-        """The members strictly below n, in increasing order."""
         if n < 0 or n > self._horizon:
             raise HorizonError(f"bound {n} outside [0, {self._horizon}]")
-        return self._backend.members_below(n)
+        return [i for i in range(n) if self._backend.bit(i)]
 
     def complement(self) -> "SetStream":
         return SetStream(_Complement(self._backend), self._horizon, f"~({self._label})")

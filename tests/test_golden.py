@@ -1,13 +1,12 @@
 """Golden reports: CLI stdout compared byte for byte against recorded files.
 
 Each case is a CLI invocation whose parameters echo no file path, so its
-report is the same in any checkout.  After an intended output change,
-re-record with `PYTHONPATH=src python tests/test_golden.py` and review
-the diff of `tests/golden/`.
+report is the same in any checkout.  A recorded file is the exact stdout of
+its invocation; replacing one changes an expected output and needs a stated,
+reviewed reason in CHANGES.md.
 """
 
 import io
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -56,13 +55,3 @@ def test_stdout_matches_golden(name):
     code, stdout = run(CASES[name])
     assert code == 0
     assert stdout == (GOLDEN / f"{name}.json").read_bytes()
-
-
-if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for name, argv in sorted(CASES.items()):
-        code, stdout = run(argv)
-        if code != 0:
-            sys.exit(f"{name}: exit {code}")
-        (GOLDEN / f"{name}.json").write_bytes(stdout)
-        print(f"recorded {name}: {len(stdout)} bytes")

@@ -2,9 +2,9 @@
 
 Each fast path is compared with the definition-level version it replaced,
 kept here: the per-child `startswith` scan of `build_prefix_tree`, the
-tuple-membership closure check of `PrefixTree`, the per-bit join of `SetStream.prefix`, the per-bit list of
-`SetStream.members_below`, the zero-padded `string_decode` and the
-per-character bit-string check.
+tuple-membership closure check of `PrefixTree`, the per-bit join of
+`SetStream.prefix`, the zero-padded `string_decode` and the per-character
+bit-string check.
 """
 
 import random
@@ -128,17 +128,13 @@ def test_tree_closure_check_matches_tuple_membership(case):
             PrefixTree(q, full_height, depth, levels)
 
 
-# -- SetStream.prefix and SetStream.members_below ---------------------------
+# -- SetStream.prefix ---------------------------------------------------------
 
 HORIZON = 3000
 
 
 def per_bit_prefix(stream, n):
     return "".join("1" if stream.bit(i) else "0" for i in range(n))
-
-
-def per_bit_members(stream, n):
-    return [i for i in range(n) if stream.bit(i)]
 
 
 def _file_spec(tmp_path):
@@ -177,14 +173,6 @@ def test_prefix_matches_per_bit_join(kind, tmp_path):
     assert STREAMS[kind](tmp_path).prefix(1500) == per_bit_prefix(slow, 1500)
 
 
-@pytest.mark.parametrize("kind", sorted(STREAMS))
-def test_members_below_matches_per_bit_list(kind, tmp_path):
-    fast, slow = STREAMS[kind](tmp_path), STREAMS[kind](tmp_path)
-    for n in LENGTHS:
-        assert fast.members_below(n) == per_bit_members(slow, n)
-    assert STREAMS[kind](tmp_path).members_below(1500) == per_bit_members(slow, 1500)
-
-
 def test_bulk_rendering_makes_no_per_bit_calls(monkeypatch):
     calls = [0]
     per_bit = _Buffered.bit
@@ -196,10 +184,8 @@ def test_bulk_rendering_makes_no_per_bit_calls(monkeypatch):
     monkeypatch.setattr(_Buffered, "bit", counted)
     stream = SetStream.from_spec("seed:9", 10_000)
     bits = stream.prefix(10_000)
-    members = stream.members_below(10_000)
     assert calls[0] == 0
     assert bits == per_bit_prefix(SetStream.from_spec("seed:9", 10_000), 10_000)
-    assert members == [i for i, c in enumerate(bits) if c == "1"]
 
 
 # -- string_decode and _check_bits ---------------------------------------------
