@@ -48,10 +48,11 @@ def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok != ""]
 
 
-def _read_values(args) -> list[int]:
-    if getattr(args, "values", None) is not None:
-        return _ints(args.values)
-    with open(args.values_file) as fh:
+def _read_values(text, path) -> list[int]:
+    """Integers from a comma list, or else from a file of one per line."""
+    if text is not None:
+        return _ints(text)
+    with open(path) as fh:
         return [int(line) for line in fh if line.strip()]
 
 
@@ -66,20 +67,24 @@ def _run_density(args):
     checkpoints = _ints(args.checkpoints)
     if not checkpoints:
         raise ValueError("at least one checkpoint is required")
+    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
+        raise ValueError("checkpoints must be strictly increasing")
+    horizon = max(checkpoints) if args.horizon is None else args.horizon
     if args.sampler is None:
-        stream = SetStream.from_spec(args.set, args.horizon or max(checkpoints))
+        stream = SetStream.from_spec(args.set, horizon)
         values = density_profile(stream, checkpoints).values
         horizons = {"stream": stream.horizon}
     elif args.direction == "preimage":
         sampler = parse_sampler(args.sampler)
         reached = [eval_sampler(sampler, j) for j in range(max(checkpoints))]
-        horizon = args.horizon or max(reached, default=0) + 1
+        if args.horizon is None:
+            horizon = max(reached, default=0) + 1
         stream = SetStream.from_spec(args.set, horizon)
         values = [preimage_partial_density(stream, sampler, n) for n in checkpoints]
         horizons = {"stream": stream.horizon}
     else:
         sampler = parse_sampler(args.sampler)
-        stream = SetStream.from_spec(args.set, args.horizon or max(checkpoints))
+        stream = SetStream.from_spec(args.set, horizon)
         image = image_stream(stream, sampler)
         values = density_profile(image, checkpoints).values
         horizons = {"stream": stream.horizon, "image": image.horizon}
@@ -108,7 +113,8 @@ def _run_tree_decode(args):
     horizons = {}
     if args.prefix_sampler_of is not None:
         needed = 2 * args.q * args.depth
-        stream = SetStream.from_spec(args.prefix_sampler_of, args.set_horizon or needed)
+        horizon = needed if args.set_horizon is None else args.set_horizon
+        stream = SetStream.from_spec(args.prefix_sampler_of, horizon)
         sampler = cons.prefix_code_sampler(stream, needed)
         horizons["stream"] = stream.horizon
     else:
@@ -124,11 +130,7 @@ def _run_tree_decode(args):
 
 
 def _run_introreduce(args):
-    if args.codes is not None:
-        codes = _ints(args.codes)
-    else:
-        with open(args.codes_file) as fh:
-            codes = [int(line) for line in fh if line.strip()]
+    codes = _read_values(args.codes, args.codes_file)
     try:
         bits = cons.introreduce(codes)
     except PrefixInconsistencyError as exc:
@@ -182,7 +184,7 @@ def _run_wct(args):
 
 
 def _run_graph(args):
-    values = _read_values(args)
+    values = _read_values(args.values, args.values_file)
     horizon = args.horizon if args.horizon is not None else len(values)
     stream = cons.graph_set(values, horizon)
     members = sorted(cons.graph_members(values, horizon))
@@ -207,7 +209,7 @@ def _run_trace(args):
 
 def _run_hits(args):
     sampler = parse_sampler(args.sampler)
-    values = _read_values(args)
+    values = _read_values(args.values, args.values_file)
     horizon = args.horizon if args.horizon is not None else len(values)
     hits = sorted(cons.hit_indices(sampler, values, args.q, horizon))
     checks = []
@@ -220,7 +222,7 @@ def _run_hits(args):
 
 def _run_dom(args):
     sampler = parse_sampler(args.sampler)
-    f_values = _read_values(args)
+    f_values = _read_values(args.values, args.values_file)
     if args.nmax >= len(f_values):
         raise ValueError("--nmax needs f values up to that index")
     rows = []
@@ -278,7 +280,7 @@ def _run_weakrep(args):
             _check(
                 b.name,
                 b.passed,
-                b.detail if b.witness is None else {"witness": _listify(b.witness), "note": b.detail},
+                b.detail if b.witness is None else {"witness": b.witness, "note": b.detail},
             )
             for b in report.bullets
         ]
@@ -309,7 +311,7 @@ def _run_weakrep(args):
 
 
 def _run_pset(args):
-    values = _read_values(args)
+    values = _read_values(args.values, args.values_file)
     registry = _load_registry(args)
     with open(args.sigma_file) as fh:
         sigma_map = wr.SigmaMap.parse(fh)
@@ -325,13 +327,20 @@ def _load_registry(args) -> wr.FamilyRegistry:
         return wr.parse_manifest(fh, args.budget)
 
 
-def _listify(obj):
-    if isinstance(obj, tuple):
-        return [_listify(x) for x in obj]
-    return obj
-
-
 # -- parser ------------------------------------------------------------------
+
+
+def _add_value_source(p, flag: str, dest: str) -> None:
+    """Require exactly one of --<flag> (a comma list) and --<flag>-file."""
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument(f"--{flag}", dest=dest)
+    group.add_argument(f"--{flag}-file", dest=f"{dest}_file")
+
+
+def _add_registry(p) -> None:
+    """The program manifest and the step budget its programs run under."""
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--budget", type=int, default=64)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -367,9 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_tree_decode)
 
     p = sub.add_parser("introreduce", help="merge prefix codes back into bits")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--codes")
-    group.add_argument("--codes-file", dest="codes_file")
+    _add_value_source(p, "codes", "codes")
     p.set_defaults(handler=_run_introreduce)
 
     p = sub.add_parser("wct", help="guess-driven injection densities")
@@ -383,9 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_wct)
 
     p = sub.add_parser("graph", help="graph of a function table as pair codes")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--values")
-    group.add_argument("--values-file", dest="values_file")
+    _add_value_source(p, "values", "values")
     p.add_argument("--horizon", type=int)
     p.set_defaults(handler=_run_graph)
 
@@ -397,18 +402,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hits", help="inputs whose graph point the sampler reaches")
     p.add_argument("--sampler", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--values")
-    group.add_argument("--values-file", dest="values_file")
+    _add_value_source(p, "values", "values")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--horizon", type=int)
     p.set_defaults(handler=_run_hits)
 
     p = sub.add_parser("dom", help="adversary bound against a dominating table")
     p.add_argument("--sampler", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--f-values", dest="values")
-    group.add_argument("--f-values-file", dest="values_file")
+    _add_value_source(p, "f-values", "values")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.set_defaults(handler=_run_dom)
@@ -445,23 +446,18 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--horizon", type=int)
     v.set_defaults(handler=_run_weakrep)
     of = wr_sub.add_parser("of-program", help="table of a registry program")
-    of.add_argument("--manifest", required=True)
+    _add_registry(of)
     of.add_argument("--index", type=int, required=True)
     of.add_argument("--horizon", type=int, required=True)
-    of.add_argument("--budget", type=int, default=64)
     of.set_defaults(handler=_run_weakrep)
     il = wr_sub.add_parser("interleave", help="even/odd family duplication")
-    il.add_argument("--manifest", required=True)
-    il.add_argument("--budget", type=int, default=64)
+    _add_registry(il)
     il.add_argument("--grid", type=int, default=8)
     il.set_defaults(handler=_run_weakrep)
 
     p = sub.add_parser("pset", help="graph-prefix codes at query-string bounds")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--values")
-    group.add_argument("--values-file", dest="values_file")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--budget", type=int, default=64)
+    _add_value_source(p, "values", "values")
+    _add_registry(p)
     p.add_argument("--sigma-file", dest="sigma_file", required=True)
     p.add_argument("--checkpoints", required=True)
     p.set_defaults(handler=_run_pset)
@@ -489,7 +485,7 @@ def _emit_csv(report: dict) -> str:
         if isinstance(obj, dict):
             for key in sorted(obj):
                 walk(obj[key], f"{path}.{key}" if path else str(key))
-        elif isinstance(obj, list):
+        elif isinstance(obj, (list, tuple)):
             for i, item in enumerate(obj):
                 walk(item, f"{path}.{i}")
         else:

@@ -25,6 +25,19 @@ def _is_bits(text) -> bool:
     return isinstance(text, str) and text.isascii() and not text.encode().translate(None, b"01")
 
 
+def _data_lines(lines):
+    """The stripped lines of a data file that are neither blank nor `#` comments."""
+    return (line for line in map(str.strip, lines) if line and not line.startswith("#"))
+
+
+def _spec_int(text: str, spec: str) -> int:
+    """An integer field of a spec string; a malformed one names the spec."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad integer {text!r} in spec {spec!r}") from None
+
+
 def _check_bits(bits: str, name: str = "bits") -> str:
     if not _is_bits(bits):
         raise ValueError(f"{name} must be a string over {{0,1}}, got {bits!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Mapping, Sequence
 
-from .codes import _is_bits, cantor_pair, cantor_unpair, string_code, string_decode
+from .codes import _data_lines, _is_bits, cantor_pair, cantor_unpair, string_code, string_decode
 from .errors import InsufficientElementsError, PrefixInconsistencyError
 from .samplers import Sampler, eval_sampler, image_interval
 from .streams import SetStream, principal_function
@@ -261,12 +261,9 @@ def build_wct_injection(guesses: Mapping[int, str], max_n: int) -> WctInjection:
 
 
 def load_guess_lines(lines) -> dict[int, str]:
-    """Parse a guess map from `n:<bitstring>` lines (blank lines ignored)."""
+    """Parse a guess map from `n:<bitstring>` lines (blank and `#` lines ignored)."""
     guesses: dict[int, str] = {}
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in _data_lines(lines):
         left, _, right = line.partition(":")
         n = int(left)
         if n < 1 or not _is_bits(right):

@@ -16,6 +16,7 @@ import threading
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from .codes import _spec_int
 from .errors import DomainError, HorizonError, InjectivityError
 from .streams import SetStream, partial_density
 
@@ -173,21 +174,14 @@ def parse_sampler(spec: str) -> Sampler:
     if spec == "double":
         return Sampler.double()
     if spec.startswith("shift:"):
-        return Sampler.shift(_parse_int(spec[6:], spec))
+        return Sampler.shift(_spec_int(spec[6:], spec))
     if spec.startswith("swapblocks:"):
-        return Sampler.swapblocks(_parse_int(spec[11:], spec))
+        return Sampler.swapblocks(_spec_int(spec[11:], spec))
     if spec.startswith("table:"):
         path = spec[6:]
         values = load_table_csv(path)
         return Sampler.from_table(values, label=spec)
     raise ValueError(f"unknown sampler spec {spec!r}")
-
-
-def _parse_int(text: str, spec: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"bad integer in sampler spec {spec!r}") from None
 
 
 def load_table_csv(path) -> list[int]:

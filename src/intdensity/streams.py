@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
+from .codes import _is_bits, _spec_int
 from .errors import HorizonError, InsufficientElementsError
 
 # Seeded streams draw from a splitmix-style 64-bit mixer: output i is
@@ -23,8 +24,9 @@ _MIX_MUL_1 = 0xBF58476D1CE4E5B9
 _MIX_MUL_2 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 
-# Renders a 0/1 byte buffer as the characters "0"/"1".
+# Render a 0/1 byte buffer as the characters "0"/"1", and back.
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+_CHAR_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -272,35 +274,38 @@ class SetStream:
         accept any horizon, being total.  All other forms require an
         explicit horizon.
         """
-        backend, label, default_horizon, cap = _parse_spec(spec)
+        if spec.startswith("list:"):
+            members = [_spec_int(tok, spec) for tok in spec[5:].split(",") if tok != ""]
+            if horizon is None:
+                horizon = max(members, default=0) + 1
+            return cls.from_members(members, horizon, spec)
+        backend, cap = _parse_spec(spec)
         if horizon is None:
-            horizon = default_horizon
+            horizon = cap
         if horizon is None:
             raise ValueError(f"stream spec {spec!r} requires an explicit horizon")
         if cap is not None and horizon > cap:
             raise ValueError(
                 f"horizon {horizon} exceeds the {cap} bits provided by {spec!r}"
             )
-        return cls(backend, horizon, label)
+        return cls(backend, horizon, spec)
 
 
 def _parse_spec(spec: str):
+    """The backend of a spec other than `list:`, and its bit count if finite."""
     if spec == "empty":
-        return _ClosedForm(lambda i: 0, lambda n: 0, lambda k: None), spec, None, None
+        return _ClosedForm(lambda i: 0, lambda n: 0, lambda k: None), None
     if spec == "full":
-        return _ClosedForm(lambda i: 1, lambda n: n, lambda k: k), spec, None, None
+        return _ClosedForm(lambda i: 1, lambda n: n, lambda k: k), None
     if spec == "evens":
-        return _ClosedForm(lambda i: 1 - (i & 1), lambda n: (n + 1) // 2, lambda k: 2 * k), spec, None, None
+        return _ClosedForm(lambda i: 1 - (i & 1), lambda n: (n + 1) // 2, lambda k: 2 * k), None
     if spec == "odds":
-        return _ClosedForm(lambda i: i & 1, lambda n: n // 2, lambda k: 2 * k + 1), spec, None, None
+        return _ClosedForm(lambda i: i & 1, lambda n: n // 2, lambda k: 2 * k + 1), None
     if spec.startswith("seed:"):
         parts = spec.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(f"bad seed spec {spec!r}")
-        try:
-            seed = int(parts[1])
-        except ValueError:
-            raise ValueError(f"bad seed value in {spec!r}") from None
+        seed = _spec_int(parts[1], spec)
         if not 0 <= seed <= _U64:
             raise ValueError("seed must fit in 64 bits")
         num, den = 1, 2
@@ -314,25 +319,16 @@ def _parse_spec(spec: str):
                 raise ValueError(f"bad probability clause in {spec!r}") from None
             if den < 1 or not 0 <= num <= den:
                 raise ValueError("probability must satisfy 0 <= num/den <= 1")
-        return _SeededBits(seed, num, den), spec, None, None
+        return _SeededBits(seed, num, den), None
     if spec.startswith("file:"):
         path = spec[5:]
         with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-        chars = [c for c in text if not c.isspace()]
-        if any(c not in "01" for c in chars):
+            # str.split drops exactly the characters for which str.isspace holds.
+            text = "".join(fh.read().split())
+        if not _is_bits(text):
             raise ValueError(f"{path} must contain only 0/1 characters and whitespace")
-        bits = bytearray(1 if c == "1" else 0 for c in chars)
-        return _FixedBits(bits), spec, len(bits), len(bits)
-    if spec.startswith("list:"):
-        body = spec[5:]
-        try:
-            members = sorted({int(tok) for tok in body.split(",") if tok != ""})
-        except ValueError:
-            raise ValueError(f"bad member list in {spec!r}") from None
-        if members and members[0] < 0:
-            raise ValueError("list members must be naturals")
-        return _Members(members), spec, (members[-1] + 1 if members else 1), None
+        bits = bytearray(text, "ascii").translate(_CHAR_BITS)
+        return _FixedBits(bits), len(bits)
     raise ValueError(f"unknown stream spec {spec!r}")
 
 

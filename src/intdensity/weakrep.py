@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
-from .codes import cantor_pair, cantor_unpair, string_code, triple_code
+from .codes import (
+    _data_lines, _is_bits, _spec_int, cantor_pair, cantor_unpair, string_code, triple_code
+)
 from .constructions import graph_set
 from .errors import HorizonError, InvalidTableError
 from .samplers import Sampler, eval_sampler
@@ -54,17 +56,9 @@ class WeakRepTable:
 
     @classmethod
     def from_lines(cls, lines, horizon: int = None) -> "WeakRepTable":
-        triples = []
-        max_z = 0
-        for raw in lines:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            x, y, z = (int(tok) for tok in line.split(","))
-            triples.append((x, y, z))
-            max_z = max(max_z, z)
+        triples = [tuple(map(int, line.split(","))) for line in _data_lines(lines)]
         if horizon is None:
-            horizon = max_z
+            horizon = max((z for _, _, z in triples), default=0)
         return cls.from_triples(triples, horizon)
 
 
@@ -201,12 +195,12 @@ def builtin_program(spec: str) -> Program:
     if spec == "zeroonly":
         return Program(spec, lambda x: (0, 1) if x == 0 else None)
     if spec.startswith("const:"):
-        v = int(spec[6:])
+        v = _spec_int(spec[6:], spec)
         if v < 0:
             raise ValueError("constant must be a natural number")
         return Program(spec, lambda x: (v, 1))
     if spec.startswith("slowid:"):
-        k = int(spec[7:])
+        k = _spec_int(spec[7:], spec)
         if k < 1:
             raise ValueError("slowid step count must be >= 1")
         return Program(spec, lambda x: (x, k))
@@ -244,13 +238,8 @@ def parse_manifest(lines, budget: int) -> FamilyRegistry:
     """Registry from a manifest: one builtin program spec per line."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    programs = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        programs.append(builtin_program(line))
-    return FamilyRegistry(tuple(programs), budget)
+    programs = tuple(builtin_program(line) for line in _data_lines(lines))
+    return FamilyRegistry(programs, budget)
 
 
 def table_of_program(registry: FamilyRegistry, index: int, horizon: int) -> WeakRepTable:
@@ -294,10 +283,7 @@ def interleave_family(registry: FamilyRegistry) -> FamilyRegistry:
 
 def diagonal_avoid(values, e: int) -> int:
     """Read the diagonal-avoiding value for index e out of a table: values[2e]."""
-    try:
-        return values[2 * e]
-    except (IndexError, KeyError):
-        raise ValueError(f"table has no entry at {2 * e}") from None
+    return _diag_value(values, 2 * e)
 
 
 # -- dominating branch -------------------------------------------------------
@@ -373,14 +359,11 @@ class SigmaMap:
         """Parse `sigma:index` lines; a `default:<index>` line sets the default."""
         entries: dict[str, int] = {}
         default = None
-        for raw in lines:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line in _data_lines(lines):
             left, _, right = line.partition(":")
             if left == "default":
                 default = int(right)
-            elif all(c in "01" for c in left):
+            elif _is_bits(left):
                 entries[left] = int(right)
             else:
                 raise ValueError(f"bad sigma map line {line!r}")

@@ -49,6 +49,25 @@ class TestDensity:
         code, _ = run_cli(capsys, "density", "--set", "wat", "--checkpoints", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("sampler", [[], ["--sampler", "double"],
+                                         ["--sampler", "identity", "--direction", "image"]])
+    def test_explicit_zero_horizon_is_kept(self, capsys, sampler):
+        argv = ["density", "--set", "evens", "--checkpoints", "4", "--horizon", "0"]
+        assert run_cli(capsys, *argv, *sampler)[0] == 2
+
+    def test_explicit_zero_set_horizon_is_kept(self, capsys):
+        code, _ = run_cli(
+            capsys, "tree-decode", "--prefix-sampler-of", "evens", "--set-horizon", "0",
+            "--q", "2", "--full-height", "1", "--depth", "4",
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize("sampler", [[], ["--sampler", "double"],
+                                         ["--sampler", "identity", "--direction", "image"]])
+    def test_checkpoints_must_increase_in_every_direction(self, capsys, sampler):
+        assert main(["density", "--set", "evens", "--checkpoints", "8,4", *sampler]) == 2
+        assert "checkpoints must be strictly increasing" in capsys.readouterr().err
+
 
 class TestConstructionCommands:
     def test_prefix_set(self, capsys):
@@ -222,6 +241,22 @@ class TestPset:
         assert code == 0
         assert report["results"]["p_bounds"] == [1]
         assert report["results"]["codes"] == [2]
+
+
+class TestSpecIntegers:
+    @pytest.mark.parametrize("argv, spec", [
+        (["density", "--set", "seed:x", "--checkpoints", "4"], "seed:x"),
+        (["density", "--set", "list:1,a", "--checkpoints", "4"], "list:1,a"),
+        (["trace", "--sampler", "shift:x", "--q", "1", "--n", "1"], "shift:x"),
+        (["trace", "--sampler", "swapblocks:x", "--q", "1", "--n", "1"], "swapblocks:x"),
+        (["weakrep", "interleave", "--manifest", "{manifest}"], "const:x"),
+        (["weakrep", "interleave", "--manifest", "{manifest}"], "slowid:x"),
+    ])
+    def test_malformed_integer_names_its_spec(self, capsys, tmp_path, argv, spec):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"identity\n{spec}\n")
+        assert main([arg.format(manifest=manifest) for arg in argv]) == 2
+        assert repr(spec) in capsys.readouterr().err
 
 
 class TestOutputDiscipline:

@@ -1,9 +1,16 @@
-"""Golden reports: CLI stdout compared byte for byte against recorded files.
+"""Golden reports: CLI stdout and exit codes compared against recorded files.
 
-Each case is a CLI invocation whose parameters echo no file path, so its
-report is the same in any checkout.  A recorded file is the exact stdout of
-its invocation; replacing one changes an expected output and needs a stated,
-reviewed reason in CHANGES.md.
+Every case runs from a fresh temporary working directory that holds the
+input files of FILES, and names them by relative path, so the paths its
+report echoes are the same in any checkout.  The cases cover every AC9
+invocation plus one for each input parser: values and codes files, guess,
+table, manifest and sigma files with blank and `#` lines, a failing CSV
+validation whose witness is a tuple, an unsorted `list:` spec and a `file:`
+spec with mixed whitespace.
+
+A recorded file is the exact stdout of its invocation, `.csv` for CSV
+reports and `.json` otherwise; replacing one changes an expected output and
+needs a stated, reviewed reason in CHANGES.md.
 """
 
 import io
@@ -16,30 +23,137 @@ from intdensity.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+FILES = {
+    "perm.csv": "0,2\n1,0\n2,1\n",
+    "trace.txt": "1:10\n2:1010\n",
+    "trace-comments.txt": "# guesses\n\n1:10\n  # block 2\n2:1010\n\n",
+    "table.txt": "0,2,3\n0,2,4\n0,2,5\n0,2,6\n",
+    "bad-table.txt": "# input 0 has two values\n0,1,3\n0,2,3\n\n2,0,5\n",
+    "manifest.txt": "identity\ndiverge\nconst:3\n",
+    "manifest-comments.txt": "# programs\n\nidentity\n  # never halts\ndiverge\n\nconst:3\n",
+    "sigma.txt": "1:1\ndefault:0\n",
+    "sigma-comments.txt": "# routes\n\n1:1\n\n# fallback\ndefault:0\n",
+    "codes.txt": "2\n5\n\n12\n",
+    "values.txt": "3\n1\n\n4\n1\n",
+    "f-values.txt": "1\n2\n\n4\n8\n",
+    "bits.txt": "0110 1\t10\r\n\x0b1\x0c0\x1c1\x1d1\x1e0\x1f1\n\n  10 01\n",
+}
+
+# name -> (exit code, argv)
 CASES = {
-    "tree-decode-seed5-q2-h1-d64": [
+    "tree-decode-seed5-q2-h1-d64": (0, [
         "tree-decode", "--prefix-sampler-of", "seed:5",
         "--q", "2", "--full-height", "1", "--depth", "64",
-    ],
-    "tree-decode-seed6-q3-h1-d48": [
+    ]),
+    "tree-decode-seed6-q3-h1-d48": (0, [
         "tree-decode", "--prefix-sampler-of", "seed:6",
         "--q", "3", "--full-height", "1", "--depth", "48",
-    ],
-    "tree-decode-seed7-q2-h6-d7": [
+    ]),
+    "tree-decode-seed7-q2-h6-d7": (0, [
         "tree-decode", "--prefix-sampler-of", "seed:7",
         "--q", "2", "--full-height", "6", "--depth", "7",
-    ],
-    "tree-decode-evens-q2-h1-d64": [
+    ]),
+    "tree-decode-evens-q2-h1-d64": (0, [
         "tree-decode", "--prefix-sampler-of", "evens",
         "--q", "2", "--full-height", "1", "--depth", "64",
-    ],
-    "prefix-set-seed4": [
+    ]),
+    "prefix-set-seed4": (0, [
         "prefix-set", "--set", "seed:4", "--horizon", "32", "--count", "8",
-    ],
-    "wct-seed11-nmax4": [
+    ]),
+    "wct-seed11-nmax4": (0, [
         "wct", "--set", "seed:11", "--horizon", "512", "--nmax", "4",
         "--oracle-trace", "--include-table",
-    ],
+    ]),
+    # The remaining AC9 invocations.
+    "density-seed9-p13": (0, [
+        "density", "--set", "seed:9:p=1/3", "--checkpoints", "4,16,64",
+    ]),
+    "density-evens-double": (0, [
+        "density", "--set", "evens", "--checkpoints", "8,16", "--sampler", "double",
+    ]),
+    "tree-decode-seed4-q2-h1-d16": (0, [
+        "tree-decode", "--prefix-sampler-of", "seed:4", "--q", "2",
+        "--full-height", "1", "--depth", "16",
+    ]),
+    "tree-decode-table": (0, [
+        "tree-decode", "--sampler", "table:perm.csv", "--q", "1",
+        "--full-height", "0", "--depth", "1",
+    ]),
+    "introreduce-codes": (0, ["introreduce", "--codes", "2,5,12"]),
+    "wct-evens-trace-file": (0, [
+        "wct", "--set", "evens", "--horizon", "64", "--nmax", "2",
+        "--trace-file", "trace.txt",
+    ]),
+    "graph-values": (0, ["graph", "--values", "3,1,4,1"]),
+    "trace-identity": (0, ["trace", "--sampler", "identity", "--q", "2", "--n", "3"]),
+    "hits-values": (0, [
+        "hits", "--sampler", "identity", "--values", "0,0,0,0", "--q", "1",
+    ]),
+    "dom-f-values": (0, [
+        "dom", "--sampler", "identity", "--f-values", "1,2,4,8", "--q", "2",
+        "--nmax", "3",
+    ]),
+    "codes-k": (0, ["codes", "k", "--n", "77"]),
+    "codes-c": (0, ["codes", "c", "--n", "9", "--x", "80"]),
+    "codes-pair": (0, ["codes", "pair", "--x", "12", "--y", "34"]),
+    "codes-string": (0, ["codes", "string", "--encode", "10110"]),
+    "codes-setcode": (0, ["codes", "setcode", "--members", "0,3,5"]),
+    "weakrep-validate": (0, ["weakrep", "validate", "--table-file", "table.txt"]),
+    "weakrep-of-program": (0, [
+        "weakrep", "of-program", "--manifest", "manifest.txt", "--index", "0",
+        "--horizon", "4",
+    ]),
+    "weakrep-interleave": (0, [
+        "weakrep", "interleave", "--manifest", "manifest.txt", "--grid", "6",
+    ]),
+    "pset": (0, [
+        "pset", "--values", "0,2", "--manifest", "manifest.txt",
+        "--sigma-file", "sigma.txt", "--checkpoints", "2",
+    ]),
+    "csv-density-odds": (0, [
+        "--format", "csv", "density", "--set", "odds", "--checkpoints", "5,10",
+    ]),
+    # One case for each input parser.
+    "introreduce-codes-file": (0, ["introreduce", "--codes-file", "codes.txt"]),
+    "graph-values-file": (0, ["graph", "--values-file", "values.txt"]),
+    "hits-values-file": (0, [
+        "hits", "--sampler", "identity", "--values-file", "values.txt", "--q", "2",
+    ]),
+    "dom-f-values-file": (0, [
+        "dom", "--sampler", "double", "--f-values-file", "f-values.txt", "--q", "1",
+        "--nmax", "3",
+    ]),
+    "wct-evens-trace-comments": (0, [
+        "wct", "--set", "evens", "--horizon", "64", "--nmax", "2",
+        "--trace-file", "trace-comments.txt",
+    ]),
+    "weakrep-of-program-manifest-comments": (0, [
+        "weakrep", "of-program", "--manifest", "manifest-comments.txt",
+        "--index", "2", "--horizon", "3", "--budget", "2",
+    ]),
+    "weakrep-interleave-manifest-comments": (0, [
+        "weakrep", "interleave", "--manifest", "manifest-comments.txt", "--grid", "4",
+    ]),
+    "pset-comments": (0, [
+        "pset", "--values-file", "values.txt", "--manifest", "manifest-comments.txt",
+        "--sigma-file", "sigma-comments.txt", "--checkpoints", "2,3",
+    ]),
+    "csv-weakrep-validate-bad": (1, [
+        "--format", "csv", "weakrep", "validate", "--table-file", "bad-table.txt",
+    ]),
+    "density-list-unsorted": (0, [
+        "density", "--set", "list:5,1,1,3", "--checkpoints", "2,4,6",
+    ]),
+    "prefix-set-list-unsorted": (0, [
+        "prefix-set", "--set", "list:5,1,1,3", "--count", "7",
+    ]),
+    "prefix-set-list-empty": (0, ["prefix-set", "--set", "list:", "--count", "2"]),
+    "density-file-mixed-whitespace": (0, [
+        "density", "--set", "file:bits.txt", "--checkpoints", "4,8,16",
+    ]),
+    "prefix-set-file-mixed-whitespace": (0, [
+        "prefix-set", "--set", "file:bits.txt", "--count", "17",
+    ]),
 }
 
 
@@ -50,8 +164,17 @@ def run(argv) -> tuple[int, bytes]:
     return code, out.getvalue().encode()
 
 
+def golden_path(name: str) -> Path:
+    suffix = ".csv" if "csv" in CASES[name][1][:2] else ".json"
+    return GOLDEN / f"{name}{suffix}"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_stdout_matches_golden(name):
-    code, stdout = run(CASES[name])
-    assert code == 0
-    assert stdout == (GOLDEN / f"{name}.json").read_bytes()
+def test_stdout_matches_golden(name, tmp_path, monkeypatch):
+    for file_name, content in FILES.items():
+        (tmp_path / file_name).write_bytes(content.encode("ascii"))
+    monkeypatch.chdir(tmp_path)
+    expected_code, argv = CASES[name]
+    code, stdout = run(argv)
+    assert code == expected_code
+    assert stdout == golden_path(name).read_bytes()

@@ -60,9 +60,13 @@ class TestSpecDsl:
         assert all(stream.bit(i) == (splitmix64(5, i) % 2 < 1) for i in range(64))
 
     def test_list_spec(self):
-        s = SetStream.from_spec("list:5,1,3")
+        s = SetStream.from_spec("list:5,1,1,3")
+        assert s.label == "list:5,1,1,3"
         assert s.horizon == 6
         assert s.members_below(6) == [1, 3, 5]
+        assert SetStream.from_spec("list:").horizon == 1
+        with pytest.raises(ValueError):
+            SetStream.from_spec("list:2,-1")
 
     def test_file_spec(self, tmp_path):
         path = tmp_path / "bits.txt"
@@ -78,6 +82,36 @@ class TestSpecDsl:
         path.write_text("10x1")
         with pytest.raises(ValueError):
             SetStream.from_spec(f"file:{path}")
+
+    @pytest.mark.parametrize("code", range(128))
+    def test_file_spec_matches_per_character_rule(self, tmp_path, code):
+        """Every ASCII character is skipped, read as a bit or refused
+        exactly as the per-character rule says (\x0b, \x0c and \x1c-\x1f
+        count as whitespace for str.isspace but not all for bytes.split)."""
+        text = f"01{chr(code)}1 0\x0b1\x0c0\x1c1\x1d0\x1e1\x1f0\t1\n"
+        path = tmp_path / "bits.txt"
+        path.write_bytes(text.encode("ascii"))
+        chars = [c for c in text.replace("\r", "\n") if not c.isspace()]
+        if all(c in "01" for c in chars):
+            stream = SetStream.from_spec(f"file:{path}")
+            assert stream.horizon == len(chars)
+            assert stream.prefix(len(chars)) == "".join(chars)
+        else:
+            with pytest.raises(ValueError):
+                SetStream.from_spec(f"file:{path}")
+
+    def test_file_spec_matches_per_character_rule_on_random_files(self, tmp_path):
+        rng = random.Random(17)
+        alphabet = "0011 \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+        path = tmp_path / "bits.txt"
+        for _ in range(200):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(60)))
+            path.write_bytes(text.encode("ascii"))
+            # Text mode reads "\r\n" and "\r" as "\n"; both are whitespace.
+            bits = "".join(c for c in text if not c.isspace())
+            stream = SetStream.from_spec(f"file:{path}")
+            assert stream.horizon == len(bits)
+            assert stream.prefix(len(bits)) == bits
 
     def test_bad_specs(self):
         for spec in ["nope", "seed:", "seed:1:p=2", "seed:1:q=1/2", "list:a,b"]:
