@@ -20,6 +20,8 @@ from time import perf_counter
 from . import constructions as cons
 from . import weakrep as wr
 from .codes import (
+    _data_lines,
+    _int_field,
     cantor_pair,
     cantor_unpair,
     finite_set_code,
@@ -45,15 +47,15 @@ SCHEMA_VERSION = 1
 
 
 def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok != ""]
+    return [_int_field(tok, text, "list") for tok in text.split(",") if tok != ""]
 
 
 def _read_values(text, path) -> list[int]:
-    """Integers from a comma list, or else from a file of one per line."""
+    """Integers from a comma list, or else from a data file of one per line."""
     if text is not None:
         return _ints(text)
     with open(path) as fh:
-        return [int(line) for line in fh if line.strip()]
+        return [_int_field(line, line, "line") for line in _data_lines(fh)]
 
 
 def _check(name: str, passed: bool, detail) -> dict:

@@ -30,12 +30,12 @@ def _data_lines(lines):
     return (line for line in map(str.strip, lines) if line and not line.startswith("#"))
 
 
-def _spec_int(text: str, spec: str) -> int:
-    """An integer field of a spec string; a malformed one names the spec."""
+def _int_field(text: str, source: str, kind: str = "spec") -> int:
+    """An integer field of a spec, data line or value list; a malformed one names it."""
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"bad integer {text!r} in spec {spec!r}") from None
+        raise ValueError(f"bad integer {text!r} in {kind} {source!r}") from None
 
 
 def _check_bits(bits: str, name: str = "bits") -> str:

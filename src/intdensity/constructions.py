@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Mapping, Sequence
 
-from .codes import _data_lines, _is_bits, cantor_pair, cantor_unpair, string_code, string_decode
+from .codes import (
+    _data_lines, _int_field, _is_bits, cantor_pair, cantor_unpair, string_code, string_decode
+)
 from .errors import InsufficientElementsError, PrefixInconsistencyError
 from .samplers import Sampler, eval_sampler, image_interval
 from .streams import SetStream, principal_function
@@ -265,7 +267,7 @@ def load_guess_lines(lines) -> dict[int, str]:
     guesses: dict[int, str] = {}
     for line in _data_lines(lines):
         left, _, right = line.partition(":")
-        n = int(left)
+        n = _int_field(left, line, "line")
         if n < 1 or not _is_bits(right):
             raise ValueError(f"bad guess line {line!r}")
         guesses[n] = right

@@ -11,12 +11,11 @@ because it proves the program is not a valid sampler.
 
 from __future__ import annotations
 
-import csv
 import threading
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .codes import _spec_int
+from .codes import _data_lines, _int_field
 from .errors import DomainError, HorizonError, InjectivityError
 from .streams import SetStream, partial_density
 
@@ -174,9 +173,9 @@ def parse_sampler(spec: str) -> Sampler:
     if spec == "double":
         return Sampler.double()
     if spec.startswith("shift:"):
-        return Sampler.shift(_spec_int(spec[6:], spec))
+        return Sampler.shift(_int_field(spec[6:], spec))
     if spec.startswith("swapblocks:"):
-        return Sampler.swapblocks(_spec_int(spec[11:], spec))
+        return Sampler.swapblocks(_int_field(spec[11:], spec))
     if spec.startswith("table:"):
         path = spec[6:]
         values = load_table_csv(path)
@@ -185,15 +184,14 @@ def parse_sampler(spec: str) -> Sampler:
 
 
 def load_table_csv(path) -> list[int]:
-    """Read a `j,value` CSV (no header); rows must cover 0..len-1 in order."""
+    """Read `j,value` data lines (no header); rows must cover 0..len-1 in order."""
     values = []
-    with open(path, newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            if len(row) != 2 or int(row[0]) != row_no:
-                raise ValueError(f"{path}: row {row_no} must be `{row_no},<value>`")
-            values.append(int(row[1]))
+    with open(path) as fh:
+        for line in _data_lines(fh):
+            row, j = line.split(","), len(values)
+            if len(row) != 2 or _int_field(row[0], line, "line") != j:
+                raise ValueError(f"{path}: row {j} must be `{j},<value>`")
+            values.append(_int_field(row[1], line, "line"))
     return values
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .codes import _is_bits, _spec_int
+from .codes import _is_bits, _int_field
 from .errors import HorizonError, InsufficientElementsError
 
 # Seeded streams draw from a splitmix-style 64-bit mixer: output i is
@@ -275,7 +275,7 @@ class SetStream:
         explicit horizon.
         """
         if spec.startswith("list:"):
-            members = [_spec_int(tok, spec) for tok in spec[5:].split(",") if tok != ""]
+            members = [_int_field(tok, spec) for tok in spec[5:].split(",") if tok != ""]
             if horizon is None:
                 horizon = max(members, default=0) + 1
             return cls.from_members(members, horizon, spec)
@@ -305,7 +305,7 @@ def _parse_spec(spec: str):
         parts = spec.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(f"bad seed spec {spec!r}")
-        seed = _spec_int(parts[1], spec)
+        seed = _int_field(parts[1], spec)
         if not 0 <= seed <= _U64:
             raise ValueError("seed must fit in 64 bits")
         num, den = 1, 2

@@ -17,13 +17,15 @@ concrete function family together with its universal evaluator.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Mapping, Optional, Sequence
 
 from .codes import (
-    _data_lines, _is_bits, _spec_int, cantor_pair, cantor_unpair, string_code, triple_code
+    _data_lines, _is_bits, _int_field, cantor_pair, cantor_unpair, string_code, string_decode,
+    triple_code,
 )
 from .constructions import graph_set
 from .errors import HorizonError, InvalidTableError
@@ -56,7 +58,12 @@ class WeakRepTable:
 
     @classmethod
     def from_lines(cls, lines, horizon: int = None) -> "WeakRepTable":
-        triples = [tuple(map(int, line.split(","))) for line in _data_lines(lines)]
+        triples = []
+        for line in _data_lines(lines):
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise ValueError(f"table line {line!r} must be `x,y,z`")
+            triples.append(tuple(_int_field(f, line, "line") for f in fields))
         if horizon is None:
             horizon = max((z for _, _, z in triples), default=0)
         return cls.from_triples(triples, horizon)
@@ -91,61 +98,49 @@ def _passed(name: str) -> BulletCheck:
 
 @lru_cache(maxsize=256)
 def validate_weakrep(table: WeakRepTable) -> WeakRepReport:
-    """Check the four invariants, with a witnessing triple for each failure."""
-    triples = sorted(table.triples)
+    """Check the four invariants, with a witnessing triple for each failure.
+
+    Every check reads the (x, y) runs of ascending steps, in (x, y) order.
+    """
     horizon = table.horizon
+    runs = [list(run) for _, run in groupby(sorted(table.triples), lambda t: t[:2])]
 
     representation = _passed("representation")
-    for t in triples:
-        if t[2] > horizon:
-            representation = BulletCheck(
-                "representation", False, t,
-                f"witness step {t[2]} exceeds horizon {horizon}",
-            )
-            break
-
-    by_input: dict[int, list[tuple[int, int, int]]] = {}
-    for t in triples:
-        by_input.setdefault(t[0], []).append(t)
+    late = next((t for run in runs if run[-1][2] > horizon for t in run if t[2] > horizon), None)
+    if late is not None:
+        representation = BulletCheck(
+            "representation", False, late, f"witness step {late[2]} exceeds horizon {horizon}"
+        )
 
     consistency = _passed("consistency")
-    for x, group in sorted(by_input.items()):
-        values = sorted({y for _, y, _ in group})
-        if len(values) > 1:
-            first = next(t for t in group if t[1] == values[0])
-            second = next(t for t in group if t[1] == values[1])
-            consistency = BulletCheck(
-                "consistency", False, (first, second),
-                f"input {x} is witnessed with values {values[0]} and {values[1]}",
-            )
-            break
-
-    monotonicity = _passed("monotonicity")
-    present = table.triples
-    for t in triples:
-        x, y, z = t
-        missing = next(
-            (z2 for z2 in range(z + 1, horizon + 1) if (x, y, z2) not in present),
-            None,
+    clash = next(((a[0], b[0]) for a, b in zip(runs, runs[1:]) if a[0][0] == b[0][0]), None)
+    if clash is not None:
+        consistency = BulletCheck(
+            "consistency", False, clash,
+            f"input {clash[0][0]} is witnessed with values {clash[0][1]} and {clash[1][1]}",
         )
-        if missing is not None:
+
+    # Only a run's first triple can fail first: its steps must count up to the horizon.
+    monotonicity = _passed("monotonicity")
+    for run in runs:
+        start = run[0][2]
+        missing = next((z for z, t in enumerate(run, start) if t[2] != z), start + len(run))
+        if missing <= horizon:
             monotonicity = BulletCheck(
-                "monotonicity", False, t,
+                "monotonicity", False, run[0],
                 f"witness persists to step {missing - 1} but not {missing}",
             )
             break
 
+    # Each input's first triple; the first input unequal to its index lies above the least gap.
     downward = _passed("downward_closure")
-    witnessed = sorted(by_input)
-    if witnessed:
-        expected = set(range(witnessed[-1] + 1))
-        gaps = sorted(expected - set(witnessed))
-        if gaps:
-            above = next(x for x in witnessed if x > gaps[0])
-            downward = BulletCheck(
-                "downward_closure", False, by_input[above][0],
-                f"input {above} is witnessed but {gaps[0]} is not",
-            )
+    heads = [next(group)[0] for _, group in groupby(runs, lambda run: run[0][0])]
+    gap = next((i for i, t in enumerate(heads) if t[0] != i), None)
+    if gap is not None:
+        downward = BulletCheck(
+            "downward_closure", False, heads[gap],
+            f"input {heads[gap][0]} is witnessed but {gap} is not",
+        )
 
     return WeakRepReport((representation, consistency, monotonicity, downward))
 
@@ -195,12 +190,12 @@ def builtin_program(spec: str) -> Program:
     if spec == "zeroonly":
         return Program(spec, lambda x: (0, 1) if x == 0 else None)
     if spec.startswith("const:"):
-        v = _spec_int(spec[6:], spec)
+        v = _int_field(spec[6:], spec)
         if v < 0:
             raise ValueError("constant must be a natural number")
         return Program(spec, lambda x: (v, 1))
     if spec.startswith("slowid:"):
-        k = _spec_int(spec[7:], spec)
+        k = _int_field(spec[7:], spec)
         if k < 1:
             raise ValueError("slowid step count must be >= 1")
         return Program(spec, lambda x: (x, k))
@@ -362,9 +357,9 @@ class SigmaMap:
         for line in _data_lines(lines):
             left, _, right = line.partition(":")
             if left == "default":
-                default = int(right)
+                default = _int_field(right, line, "line")
             elif _is_bits(left):
-                entries[left] = int(right)
+                entries[left] = _int_field(right, line, "line")
             else:
                 raise ValueError(f"bad sigma map line {line!r}")
         return cls(entries=entries, default=default)
@@ -388,21 +383,24 @@ def p_bound(registry: FamilyRegistry, sigma_map: SigmaMap, values, n: int) -> in
     all binary strings sigma with 2^|sigma| < n^5.
 
     The length threshold is the exact power comparison realizing
-    |sigma| < 5*log2(n); no floating point is involved.
+    |sigma| < 5*log2(n); no floating point is involved.  Those strings have
+    codes below 2^L - 1, L = bit_length(n^5 - 1), and all unmapped ones route
+    alike: the first stands for them all, checked in code order with the rest.
     """
     if n < 2:
         raise ValueError("p_bound needs n >= 2")
-    limit = n**5
+    end = (1 << (n**5 - 1).bit_length()) - 1
+    codes = sorted(c for c in map(string_code, filter(_is_bits, sigma_map.entries)) if c < end)
+    unmapped = next((i for i, c in enumerate(codes) if c != i), len(codes))
+    if unmapped < end:
+        insort(codes, unmapped)
     best = 0
-    length = 0
-    while (1 << length) < limit:
-        for value in range(1 << length):
-            sigma = format(value, "b").zfill(length) if length else ""
-            e = sigma_map.lookup(sigma)
-            if not 0 <= e < len(registry):
-                raise ValueError(f"sigma map routes {sigma!r} to unknown program {e}")
-            best = max(best, cantor_pair(e, _diag_value(values, e)))
-        length += 1
+    for code in codes:
+        sigma = string_decode(code)
+        e = sigma_map.lookup(sigma)
+        if not 0 <= e < len(registry):
+            raise ValueError(f"sigma map routes {sigma!r} to unknown program {e}")
+        best = max(best, cantor_pair(e, _diag_value(values, e)))
     return 1 + best
 
 

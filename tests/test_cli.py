@@ -259,6 +259,43 @@ class TestSpecIntegers:
         assert repr(spec) in capsys.readouterr().err
 
 
+class TestDataLines:
+    @pytest.mark.parametrize("argv, text, quoted", [
+        (["wct", "--set", "seed:42", "--horizon", "512", "--nmax", "3", "--trace-file", "{data}"],
+         "x:10\n", "'x:10'"),
+        (["pset", "--values", "0", "--manifest", "{manifest}", "--sigma-file", "{data}",
+          "--checkpoints", "2"], "1:x\n", "'1:x'"),
+        (["weakrep", "validate", "--table-file", "{data}"], "0,1,x\n", "'0,1,x'"),
+        (["weakrep", "validate", "--table-file", "{data}"], "0,0,1\n0,1\n", "'0,1'"),
+        (["trace", "--sampler", "table:{data}", "--q", "1", "--n", "0"], "x,2\n", "'x,2'"),
+        (["graph", "--values-file", "{data}"], "0\nz\n", "'z'"),
+        (["graph", "--values", "1,a"], "", "'1,a'"),
+    ], ids=["guess", "sigma", "table-field", "table-width", "csv", "values-file", "values-list"])
+    def test_malformed_integer_names_its_line(self, capsys, tmp_path, argv, text, quoted):
+        data, manifest = tmp_path / "data.txt", tmp_path / "manifest.txt"
+        data.write_text(text)
+        manifest.write_text("identity\n")
+        assert main([arg.format(data=data, manifest=manifest) for arg in argv]) == 2
+        assert quoted in capsys.readouterr().err
+
+    def test_values_file_skips_blank_and_comment_lines(self, capsys, tmp_path):
+        values = tmp_path / "values.txt"
+        values.write_text("# c\n0\n\n1\n2\n")
+        _, from_file = run_json(capsys, "graph", "--values-file", str(values))
+        _, from_list = run_json(capsys, "graph", "--values", "0,1,2")
+        assert from_file["results"] == from_list["results"]
+
+    def test_table_csv_rows_are_numbered_by_values_read(self, capsys, tmp_path):
+        table = tmp_path / "c.csv"
+        table.write_text("0,1\n\n# swap\n1,0\n")
+        code, report = run_json(
+            capsys,
+            "density", "--set", "list:1", "--checkpoints", "1,2", "--sampler", f"table:{table}",
+        )
+        assert code == 0
+        assert report["results"]["values"] == ["1", "1/2"]
+
+
 class TestOutputDiscipline:
     def test_csv_format(self, capsys):
         code, out = run_cli(

@@ -1,6 +1,9 @@
 """Step-witness tables, registries, interleaving, and DNR-branch codings."""
 
+import json
 import random
+import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -31,6 +34,7 @@ from intdensity import (
     table_of_program,
     validate_weakrep,
 )
+from intdensity.cli import main
 from intdensity.weakrep import Program
 
 BUILTINS = [
@@ -308,20 +312,20 @@ class TestSigmaMapAndPBound:
         assert p_bound(registry, SigmaMap({"1": 1}, 0), [0, 3], 2) == 14
 
     def test_string_range_is_exact_power_comparison(self):
-        # for n = 2 the strings considered are exactly those with 2^len < 32
-        registry = parse_manifest(["identity"], 16)
-        seen = []
-
-        class Recorder(SigmaMap):
-            def lookup(self, sigma):
-                seen.append(sigma)
-                return 0
-
-        p_bound(registry, Recorder({}, 0), [0], 2)
-        assert sorted(seen, key=len) == sorted(
-            ("".join(bits) for L in range(5) for bits in product("01", repeat=L)),
-            key=len,
-        )
+        # An entry of length L counts iff 2^L < n^5; 4^5 = 2^10 sits on the boundary.
+        registry = parse_manifest(["identity", "identity"], 16)
+        for n, lengths in ((2, (4, 5)), (3, (7, 8)), (4, (9, 10, 11))):
+            for length in lengths:
+                bound = p_bound(registry, SigmaMap({"1" * length: 1}, 0), [2, 7], n)
+                counted = (1 << length) < n**5
+                assert bound == 1 + (cantor_pair(1, 7) if counted else cantor_pair(0, 2))
+        # At n = 2 the strings are exactly those shorter than 5.
+        below_five = ["".join(bits) for L in range(5) for bits in product("01", repeat=L)]
+        full = {sigma: 0 for sigma in below_five}
+        assert p_bound(registry, SigmaMap(full, None), [3], 2) == 1 + cantor_pair(0, 3)
+        del full["0110"]
+        with pytest.raises(LookupError, match="'0110'"):
+            p_bound(registry, SigmaMap(full, None), [3], 2)
 
     def test_errors(self):
         registry = parse_manifest(["identity"], 16)
@@ -333,6 +337,43 @@ class TestSigmaMapAndPBound:
             p_bound(registry, SigmaMap({}, 5), [0], 2)  # unknown program
         with pytest.raises(ValueError):
             p_bound(registry, SigmaMap({}, 0), [], 2)  # gap in the table
+
+
+class TestWorkFollowsTheData:
+    """Inputs whose size, not whose numbers, sets the cost of a check."""
+
+    def test_far_input_is_a_downward_gap_in_little_memory(self, capsys, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text("0,0,1\n1000000000,0,1\n")
+        tracemalloc.start()
+        try:
+            code = main(["weakrep", "validate", "--table-file", str(table)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        downward = next(c for c in report["checks"] if c["name"] == "downward_closure")
+        assert downward["detail"]["witness"] == [1000000000, 0, 1]
+        assert peak < 2_000_000
+
+    def test_long_run_validates_quickly(self):
+        horizon = 19_999
+        whole = WeakRepTable.from_triples(fill(0, 0, 0, horizon), horizon)
+        short = WeakRepTable.from_triples(fill(0, 0, 0, horizon - 1), horizon)
+        started = time.perf_counter()
+        assert validate_weakrep(whole).ok
+        bullet = validate_weakrep(short).bullet("monotonicity")
+        assert time.perf_counter() - started < 1.0
+        assert bullet.witness == (0, 0, 0) and bullet.detail.endswith(f"but not {horizon}")
+
+    def test_p_bound_at_a_thousand(self):
+        # 1000^5 = 10^15 lies between 2^49 and 2^50: strings up to length 49 count.
+        registry = parse_manifest(["identity", "identity", "identity"], 16)
+        entries = {"": 0, "1" * 49: 1, "0" * 50: 2}
+        values = [3, 7, 100]
+        expected = 1 + max(cantor_pair(0, 3), cantor_pair(1, 7))
+        assert p_bound(registry, SigmaMap(entries, 0), values, 1000) == expected
 
 
 class TestBuildPset:
