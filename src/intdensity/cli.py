@@ -189,12 +189,8 @@ def _run_graph(args):
     values = _read_values(args.values, args.values_file)
     horizon = args.horizon if args.horizon is not None else len(values)
     stream = cons.graph_set(values, horizon)
-    members = sorted(cons.graph_members(values, horizon))
-    return (
-        {"members": members},
-        {"stream": stream.horizon},
-        [],
-    )
+    members = stream.members_below(stream.horizon)
+    return {"members": members}, {"stream": stream.horizon}, []
 
 
 def _run_trace(args):
@@ -267,6 +263,8 @@ def _run_codes(args):
     else:  # setcode
         if args.decode is not None:
             results = {"members": sorted(finite_set_decode(args.decode))}
+        elif args.members is None:
+            raise ValueError("setcode needs --members or --decode")
         else:
             results = {"code": finite_set_code(_ints(args.members))}
     return results, {}, []
@@ -507,21 +505,22 @@ def main(argv=None) -> int:
     started = perf_counter()
     try:
         results, horizons, checks = args.handler(args)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": _command_echo(args),
+            "parameters": _parameters(args),
+            "horizons": horizons,
+            "results": results,
+            "checks": checks,
+        }
+        if args.format == "json":
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        else:
+            text = _emit_csv(report)
     except (IntDensityError, ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": _command_echo(args),
-        "parameters": _parameters(args),
-        "horizons": horizons,
-        "results": results,
-        "checks": checks,
-    }
-    if args.format == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(_emit_csv(report))
+    sys.stdout.write(text)
     elapsed_ms = (perf_counter() - started) * 1000.0
     print(f"wall_time_ms={elapsed_ms:.3f}", file=sys.stderr)
     return 0 if all(c["pass"] for c in checks) else 1

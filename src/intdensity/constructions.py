@@ -35,15 +35,15 @@ _MAX_FULL_HEIGHT = 20
 def prefix_set(stream: SetStream) -> SetStream:
     """The set of length-lex codes of the stream's prefixes, as a stream.
 
-    Membership of a code decodes it to a string and compares against the
-    source bits, so the result is evaluable for every code whose decoded
-    length fits below the source horizon; its horizon is set accordingly.
-    Queries needing deeper bits raise HorizonError.
+    Membership of a code decodes it to a string and compares it with the
+    source prefix of the same length.  The horizon 2^(h+1) - 1 stops just
+    past the codes of length-h strings, so no decoded string is longer than
+    the source horizon h.
     """
 
-    def member(code: int) -> int:
+    def member(code: int) -> bool:
         sigma = string_decode(code)
-        return int(all(stream.bit(i) == int(c) for i, c in enumerate(sigma)))
+        return stream.prefix(len(sigma)) == sigma
 
     horizon = (1 << (stream.horizon + 1)) - 1
     return SetStream.from_function(member, horizon, f"prefixes({stream.label})")
@@ -291,31 +291,23 @@ def graph_members(values: Sequence[int], horizon: int) -> frozenset[int]:
 def graph_set(
     values: Sequence[int], horizon: int, stream_horizon: int = None
 ) -> SetStream:
-    """The graph of the table on [0, horizon) as a characteristic stream.
+    """The graph of the table on [0, horizon) as a member-list stream.
 
-    Membership of any code is total: decode to (m, y) and compare y with
-    the table at m.  The stream horizon defaults to just past the largest
-    member; pass stream_horizon to make longer prefixes evaluable.
+    The stream horizon defaults to just past the largest member; pass
+    stream_horizon to make longer prefixes evaluable.
     """
-    if horizon < 0 or horizon > len(values):
-        raise ValueError("function table does not cover [0, horizon)")
-    table = tuple(values[:horizon])
+    members = graph_members(values, horizon)
     if stream_horizon is None:
-        stream_horizon = 1 + max(
-            (cantor_pair(n, table[n]) for n in range(horizon)), default=0
-        )
-
-    def member(code: int) -> int:
-        m, y = cantor_unpair(code)
-        return int(m < horizon and table[m] == y)
-
-    return SetStream.from_function(member, stream_horizon, f"graph[{horizon}]")
+        stream_horizon = 1 + max(members, default=0)
+    return SetStream.from_members(members, stream_horizon, f"graph[{horizon}]")
 
 
 def trace_from_sampler(sampler: Sampler, q: int, n: int) -> set[int]:
     """Candidate values for step n: second components of the image of [0, (n+1)q)."""
     if q < 1:
         raise ValueError("q must be >= 1")
+    if n < 0:
+        raise ValueError("n must be a natural number")
     return {cantor_unpair(v)[1] for v in image_interval(sampler, (n + 1) * q)}
 
 

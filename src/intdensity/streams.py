@@ -3,6 +3,19 @@
 A SetStream is a total 0/1 characteristic function on an initial segment
 [0, horizon) of the naturals.  Densities are exact fractions; indices are
 arbitrary-precision, so factorial and power-sized horizons are fine.
+
+Each kind of set has one backend:
+
+* closed forms (`full`, `evens`, `odds`) answer every query by a formula;
+* member lists hold a finite set as its sorted members: `list:` and
+  `empty` specs, `SetStream.from_members`, and the graph and image sets
+  built by `constructions.graph_set` and `weakrep.image_set`;
+* bit buffers hold 0/1 bytes: `file:` streams are a fixed buffer, and
+  `seed:` streams fill theirs on demand;
+* rules (`SetStream.from_function`) call a membership function per bit,
+  for sets defined through another stream: `constructions.prefix_set`
+  and `samplers.image_stream`;
+* complements wrap another backend.
 """
 
 from __future__ import annotations
@@ -11,6 +24,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice
 from typing import Callable, Iterable, Optional, Sequence
 
 from .codes import _is_bits, _int_field
@@ -49,6 +63,9 @@ class _Backend:
     def prefix(self, n: int) -> str:
         return "".join("1" if self.bit(i) else "0" for i in range(n))
 
+    def members_below(self, n: int) -> list[int]:
+        return [i for i in range(n) if self.bit(i)]
+
     def kth_one(self, k: int, bound: int) -> Optional[int]:
         found = 0
         for i in range(bound):
@@ -73,7 +90,7 @@ class _ClosedForm(_Backend):
 
     def kth_one(self, k, bound):
         pos = self._kth(k)
-        return pos if pos is not None and pos < bound else None
+        return pos if pos < bound else None
 
 
 class _Members(_Backend):
@@ -87,6 +104,9 @@ class _Members(_Backend):
     def count_below(self, n):
         return bisect_left(self._members, n)
 
+    def members_below(self, n):
+        return self._members[: bisect_left(self._members, n)]
+
     def kth_one(self, k, bound):
         if k < len(self._members) and self._members[k] < bound:
             return self._members[k]
@@ -94,14 +114,14 @@ class _Members(_Backend):
 
 
 class _Buffered(_Backend):
-    """Dense 0/1 byte buffer, filled on demand under a lock."""
+    """Dense 0/1 byte buffer; subclasses that can fill it do so on demand under a lock."""
 
     def __init__(self, initial: bytearray = None):
         self._buf = initial if initial is not None else bytearray()
         self._lock = threading.Lock()
 
     def _fill(self, upto: int) -> None:
-        raise NotImplementedError
+        raise HorizonError(f"only {len(self._buf)} bits available")
 
     def _ensure(self, upto: int) -> None:
         if len(self._buf) >= upto:
@@ -124,12 +144,7 @@ class _Buffered(_Backend):
 
     def kth_one(self, k, bound):
         self._ensure(bound)
-        pos = -1
-        for _ in range(k + 1):
-            pos = self._buf.find(1, pos + 1, bound)
-            if pos < 0:
-                return None
-        return pos
+        return next(islice(compress(range(bound), self._buf), k, None), None)
 
 
 class _SeededBits(_Buffered):
@@ -147,27 +162,14 @@ class _SeededBits(_Buffered):
         )
 
 
-class _FixedBits(_Buffered):
-    def _fill(self, upto):
-        raise HorizonError(f"only {len(self._buf)} bits available")
-
-
-class _Memoized(_Backend):
-    """Arbitrary membership rule with synchronized first-write-wins memo."""
+class _Rule(_Backend):
+    """Arbitrary deterministic membership rule, evaluated on every query."""
 
     def __init__(self, fn: Callable[[int], int]):
         self._fn = fn
-        self._memo: dict[int, int] = {}
-        self._lock = threading.Lock()
 
     def bit(self, index):
-        memo = self._memo
-        cached = memo.get(index)
-        if cached is not None:
-            return cached
-        value = 1 if self._fn(index) else 0
-        with self._lock:
-            return memo.setdefault(index, value)
+        return 1 if self._fn(index) else 0
 
 
 class _Complement(_Backend):
@@ -186,7 +188,7 @@ class SetStream:
 
     Repeated queries at the same index return the same bit; queries at or
     above the horizon raise HorizonError.  Streams are safe for concurrent
-    reads: memoizing backends synchronize their writes internally.
+    reads: buffers that fill on demand synchronize their fills internally.
     """
 
     __slots__ = ("_backend", "_horizon", "_label")
@@ -216,9 +218,6 @@ class SetStream:
             )
         return self._backend.bit(index)
 
-    def contains(self, index: int) -> bool:
-        return self.bit(index) == 1
-
     def count_below(self, n: int) -> int:
         """Number of members strictly below n (n must be within horizon)."""
         if n < 0 or n > self._horizon:
@@ -238,7 +237,7 @@ class SetStream:
     def members_below(self, n: int) -> list[int]:
         if n < 0 or n > self._horizon:
             raise HorizonError(f"bound {n} outside [0, {self._horizon}]")
-        return [i for i in range(n) if self._backend.bit(i)]
+        return self._backend.members_below(n)
 
     def complement(self) -> "SetStream":
         return SetStream(_Complement(self._backend), self._horizon, f"~({self._label})")
@@ -246,7 +245,7 @@ class SetStream:
     @classmethod
     def from_function(cls, fn: Callable[[int], int], horizon: int, label: str) -> "SetStream":
         """Stream backed by an arbitrary (deterministic) membership rule."""
-        return cls(_Memoized(fn), horizon, label)
+        return cls(_Rule(fn), horizon, label)
 
     @classmethod
     def from_members(
@@ -294,7 +293,7 @@ class SetStream:
 def _parse_spec(spec: str):
     """The backend of a spec other than `list:`, and its bit count if finite."""
     if spec == "empty":
-        return _ClosedForm(lambda i: 0, lambda n: 0, lambda k: None), None
+        return _Members([]), None
     if spec == "full":
         return _ClosedForm(lambda i: 1, lambda n: n, lambda k: k), None
     if spec == "evens":
@@ -328,7 +327,7 @@ def _parse_spec(spec: str):
         if not _is_bits(text):
             raise ValueError(f"{path} must contain only 0/1 characters and whitespace")
         bits = bytearray(text, "ascii").translate(_CHAR_BITS)
-        return _FixedBits(bits), len(bits)
+        return _Buffered(bits), len(bits)
     raise ValueError(f"unknown stream spec {spec!r}")
 
 

@@ -17,7 +17,7 @@ concrete function family together with its universal evaluator.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -224,10 +224,6 @@ class FamilyRegistry:
         result = self._run(index, x)
         return None if result is None else result[0]
 
-    def steps(self, index: int, x: int) -> Optional[int]:
-        result = self._run(index, x)
-        return None if result is None else result[1]
-
 
 def parse_manifest(lines, budget: int) -> FamilyRegistry:
     """Registry from a manifest: one builtin program spec per line."""
@@ -287,20 +283,15 @@ def diagonal_avoid(values, e: int) -> int:
 def image_set(f_values: Sequence[int]) -> SetStream:
     """The image of a strictly increasing function table, as a stream.
 
-    Membership is decided by binary search, so the horizon is one past the
-    largest tabulated value.
+    The stream is the member list of the values; its horizon is one past
+    the largest of them.
     """
     values = list(f_values)
     if not values:
         raise ValueError("function table must be nonempty")
     if any(b <= a for a, b in zip(values, values[1:])) or values[0] < 0:
         raise ValueError("function table must be strictly increasing over naturals")
-
-    def member(n: int) -> int:
-        pos = bisect_left(values, n)
-        return int(pos < len(values) and values[pos] == n)
-
-    return SetStream.from_function(member, values[-1] + 1, f"image[{len(values)}]")
+    return SetStream.from_members(values, values[-1] + 1, f"image[{len(values)}]")
 
 
 def dominating_adversary(f_values: Sequence[int], sampler: Sampler, q: int, n: int) -> int:

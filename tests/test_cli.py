@@ -184,6 +184,33 @@ class TestCodesCommands:
         assert run_cli(capsys, "codes", "k", "--n", "0")[0] == 2
 
 
+class TestRefusedInputs:
+    """Inputs that once ended in a traceback exit 2 with one `error:` line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["codes", "setcode"], "error: setcode needs --members or --decode"),
+            (["trace", "--sampler", "double", "--q", "1", "--n", "-5"],
+             "error: n must be a natural number"),
+            (["codes", "setcode", "--members", "20000"], "error: Exceeds the limit"),
+            (["--format", "csv", "codes", "setcode", "--members", "20000"],
+             "error: Exceeds the limit"),
+        ],
+    )
+    def test_exit_two_with_one_error_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+
+    def test_largest_printable_set_code_still_prints(self, capsys):
+        code, report = run_json(capsys, "codes", "setcode", "--members", "14000")
+        assert code == 0
+        assert report["results"]["code"] == 1 << 14000
+
+
 class TestWeakrepCommands:
     def test_validate_good(self, capsys, tmp_path):
         table = tmp_path / "table.txt"

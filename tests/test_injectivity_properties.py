@@ -70,8 +70,9 @@ def test_wct_injection_is_injective_for_any_guesses(max_n, data):
         n: data.draw(st.text("01", max_size=2 * factorial(n)), label=f"guess {n}")
         for n in range(1, max_n + 1)
     }
-    sampler = build_wct_injection(guesses, max_n).as_sampler()
-    assert_injective_on_prefix(sampler, factorial(max_n))
+    injection = build_wct_injection(guesses, max_n)
+    assert len(injection.table) == factorial(max_n) and min(injection.table) >= 0
+    assert_injective_on_prefix(injection.as_sampler(), factorial(max_n))
 
 
 @PROPERTY

@@ -1,24 +1,34 @@
-"""Oracles for the fast paths of tree decoding and stream rendering.
+"""Oracles for the fast paths of tree decoding and of the stream backends.
 
 Each fast path is compared with the definition-level version it replaced,
 kept here: the per-child `startswith` scan of `build_prefix_tree`, the
 tuple-membership closure check of `PrefixTree`, the per-bit join of
-`SetStream.prefix`, the zero-padded `string_decode` and the per-character
-bit-string check.
+`SetStream.prefix`, the zero-padded `string_decode`, the per-character
+bit-string check, the membership closures of `graph_set` and `image_set`,
+the `find` loop of the buffered `kth_one`, and the per-character
+membership rule of `prefix_set`.
 """
 
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intdensity import (
+    InsufficientElementsError,
     PrefixTree,
     Sampler,
     SetStream,
     build_prefix_tree,
+    cantor_pair,
+    cantor_unpair,
+    graph_set,
+    image_set,
     prefix_code_sampler,
+    prefix_set,
+    principal_function,
     string_code,
     string_decode,
 )
@@ -146,6 +156,53 @@ def _file_spec(tmp_path):
     return f"file:{path}"
 
 
+def closure_graph_set(values, horizon, stream_horizon=None):
+    """The graph as a membership rule: decode a code and compare with the table."""
+    if horizon < 0 or horizon > len(values):
+        raise ValueError("function table does not cover [0, horizon)")
+    table = tuple(values[:horizon])
+    if stream_horizon is None:
+        stream_horizon = 1 + max(
+            (cantor_pair(n, table[n]) for n in range(horizon)), default=0
+        )
+
+    def member(code):
+        m, y = cantor_unpair(code)
+        return int(m < horizon and table[m] == y)
+
+    return SetStream.from_function(member, stream_horizon, f"graph[{horizon}]")
+
+
+def closure_image_set(f_values):
+    """The image of an increasing table as a membership rule by binary search."""
+    values = list(f_values)
+
+    def member(n):
+        pos = bisect_left(values, n)
+        return int(pos < len(values) and values[pos] == n)
+
+    return SetStream.from_function(member, values[-1] + 1, f"image[{len(values)}]")
+
+
+def find_loop_kth_one(buf, k, bound):
+    """Position of the k-th one below bound by k + 1 calls of `find`."""
+    pos = -1
+    for _ in range(k + 1):
+        pos = buf.find(1, pos + 1, bound)
+        if pos < 0:
+            return None
+    return pos
+
+
+def per_character_prefix_member(stream, code):
+    """Whether the decoded code agrees with the stream bit by bit."""
+    sigma = string_decode(code)
+    return int(all(stream.bit(i) == int(c) for i, c in enumerate(sigma)))
+
+
+GRAPH_VALUES = [(7 * n) % 13 for n in range(70)]  # the last codes lie past HORIZON
+IMAGE_VALUES = [n * n for n in range(54)] + [HORIZON - 1]
+
 STREAMS = {
     "seed": lambda tmp: SetStream.from_spec("seed:3:p=2/7", HORIZON),
     "seed-half": lambda tmp: SetStream.from_spec("seed:8", HORIZON),
@@ -158,6 +215,15 @@ STREAMS = {
     "empty": lambda tmp: SetStream.from_spec("empty", HORIZON),
     "complement": lambda tmp: SetStream.from_spec("seed:5:p=1/3", HORIZON).complement(),
     "function": lambda tmp: SetStream.from_function(lambda i: i % 3 == 1 or i % 11 == 0, HORIZON, "f"),
+    "graph": lambda tmp: graph_set(GRAPH_VALUES, len(GRAPH_VALUES), stream_horizon=HORIZON),
+    "image": lambda tmp: image_set(IMAGE_VALUES),
+}
+
+# Definition-level versions of the streams that have one; every other kind
+# is its own per-bit reference.
+REFERENCES = {
+    "graph": lambda tmp: closure_graph_set(GRAPH_VALUES, len(GRAPH_VALUES), HORIZON),
+    "image": lambda tmp: closure_image_set(IMAGE_VALUES),
 }
 
 LENGTHS = [0, 1, 7, 1023, 1024, 1025, 2048, 2500, HORIZON]
@@ -186,6 +252,111 @@ def test_bulk_rendering_makes_no_per_bit_calls(monkeypatch):
     bits = stream.prefix(10_000)
     assert calls[0] == 0
     assert bits == per_bit_prefix(SetStream.from_spec("seed:9", 10_000), 10_000)
+
+
+# -- bulk queries of every backend ---------------------------------------------
+
+
+def assert_same_queries(fast, slow, n, k):
+    """Compare every query of two streams, with the slow one read bit by bit."""
+    assert (fast.horizon, fast.label) == (slow.horizon, slow.label)
+    bits = [slow.bit(i) for i in range(slow.horizon)]
+    members = [i for i, b in enumerate(bits) if b]
+    below = [i for i in members if i < n]
+    assert [fast.bit(i) for i in range(fast.horizon)] == bits
+    assert fast.members_below(n) == below
+    assert fast.count_below(n) == len(below)
+    assert fast.prefix(n) == per_bit_prefix(slow, n)
+    if k < len(members):
+        assert principal_function(fast, k) == members[k]
+    else:
+        with pytest.raises(InsufficientElementsError):
+            principal_function(fast, k)
+
+
+@pytest.fixture(scope="module")
+def stream_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("streams")
+
+
+@pytest.mark.parametrize("kind", sorted(STREAMS))
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(0, HORIZON), k=st.integers(0, HORIZON))
+def test_bulk_queries_match_the_reference(kind, stream_dir, n, k):
+    reference = REFERENCES.get(kind, STREAMS[kind])
+    assert_same_queries(STREAMS[kind](stream_dir), reference(stream_dir), n, k)
+
+
+@st.composite
+def graph_tables(draw):
+    """(values, horizon, stream_horizon or None) for a small function table."""
+    values = draw(st.lists(st.integers(0, 20), max_size=15))
+    horizon = draw(st.integers(0, len(values)))
+    stream_horizon = draw(st.none() | st.integers(0, 600))
+    return values, horizon, stream_horizon
+
+
+@PROPERTY
+@given(case=graph_tables(), data=st.data())
+def test_graph_set_matches_the_closure(case, data):
+    fast, slow = graph_set(*case), closure_graph_set(*case)
+    n = data.draw(st.integers(0, slow.horizon))
+    assert_same_queries(fast, slow, n, data.draw(st.integers(0, len(case[0]) + 1)))
+
+
+@PROPERTY
+@given(values=st.sets(st.integers(0, 500), min_size=1), data=st.data())
+def test_image_set_matches_the_closure(values, data):
+    ordered = sorted(values)
+    fast, slow = image_set(ordered), closure_image_set(ordered)
+    n = data.draw(st.integers(0, slow.horizon))
+    assert_same_queries(fast, slow, n, data.draw(st.integers(0, len(values) + 1)))
+
+
+def test_graph_set_refuses_a_short_table():
+    with pytest.raises(ValueError, match="does not cover"):
+        graph_set([1, 2], 3)
+
+
+@PROPERTY
+@given(bits=st.lists(st.integers(0, 1), max_size=400), data=st.data())
+def test_buffered_kth_one_matches_the_find_loop(bits, data):
+    buf = bytearray(bits)
+    bound = data.draw(st.integers(0, len(bits)))
+    k = data.draw(st.integers(0, bound + 1))
+    assert _Buffered(buf).kth_one(k, bound) == find_loop_kth_one(buf, k, bound)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**64 - 1), num=st.integers(0, 4), data=st.data())
+def test_seeded_kth_one_matches_the_find_loop(seed, num, data):
+    horizon = data.draw(st.integers(0, 3000))
+    stream = SetStream.from_spec(f"seed:{seed}:p={num}/4", horizon)
+    k = data.draw(st.integers(0, horizon))
+    expected = find_loop_kth_one(bytearray(map(int, stream.prefix(horizon))), k, horizon)
+    if expected is None:
+        with pytest.raises(InsufficientElementsError):
+            principal_function(stream, k)
+    else:
+        assert principal_function(stream, k) == expected
+
+
+@PROPERTY
+@given(
+    members=st.sets(st.integers(0, 12)),
+    horizon=st.integers(0, 9),
+    spec=st.sampled_from([None, "evens", "full", "empty", "seed:7:p=1/3"]),
+)
+def test_prefix_set_matches_per_character_membership(members, horizon, spec):
+    if spec is None:
+        source = SetStream.from_members(members, horizon)
+    else:
+        source = SetStream.from_spec(spec, horizon)
+    fast = prefix_set(source)
+    assert fast.horizon == (1 << (horizon + 1)) - 1
+    expected = [c for c in range(fast.horizon) if per_character_prefix_member(source, c)]
+    assert fast.members_below(fast.horizon) == expected
+    assert expected == [string_code(source.prefix(k)) for k in range(horizon + 1)]
 
 
 # -- string_decode and _check_bits ---------------------------------------------
