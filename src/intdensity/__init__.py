@@ -56,6 +56,7 @@ from .streams import (
     SetStream,
     density_profile,
     partial_density,
+    preimage_hits,
     principal_function,
     splitmix64,
 )

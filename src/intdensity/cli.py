@@ -34,14 +34,8 @@ from .codes import (
     string_decode,
 )
 from .errors import IntDensityError, PrefixInconsistencyError
-from .samplers import (
-    eval_sampler,
-    image_interval,
-    image_stream,
-    parse_sampler,
-    preimage_partial_density,
-)
-from .streams import SetStream, density_profile
+from .samplers import eval_sampler, image_interval, image_stream, parse_sampler
+from .streams import SetStream, density_profile, preimage_hits
 
 SCHEMA_VERSION = 1
 
@@ -82,7 +76,8 @@ def _run_density(args):
         if args.horizon is None:
             horizon = max(reached, default=0) + 1
         stream = SetStream.from_spec(args.set, horizon)
-        values = [preimage_partial_density(stream, sampler, n) for n in checkpoints]
+        hits = preimage_hits(stream, reached, checkpoints)
+        values = [Fraction(h, n) for h, n in zip(hits, checkpoints)]
         horizons = {"stream": stream.horizon}
     else:
         sampler = parse_sampler(args.sampler)
@@ -157,12 +152,13 @@ def _run_wct(args):
         if missing:
             raise ValueError(f"trace file lacks guesses for blocks {missing}")
     injection = cons.build_wct_injection(guesses, args.nmax)
-    sampler = injection.as_sampler()
+    injection.as_sampler()  # checks that the table is injective
+    checkpoints = [factorial(n) for n in range(1, args.nmax + 1)]
+    hits = preimage_hits(stream, injection.table, checkpoints)
     rows = []
     checks = []
-    for n in range(1, args.nmax + 1):
-        checkpoint = factorial(n)
-        density = preimage_partial_density(stream, sampler, checkpoint)
+    for n, (checkpoint, count) in enumerate(zip(checkpoints, hits), 1):
+        density = Fraction(count, checkpoint)
         bound = Fraction(n - 1, n)
         matched = guesses[n] == truth[n]
         rows.append(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import compress, islice
 from math import factorial
 from typing import Mapping, Sequence
 
@@ -24,7 +25,7 @@ from .codes import (
 )
 from .errors import InsufficientElementsError, PrefixInconsistencyError
 from .samplers import Sampler, eval_sampler, image_interval
-from .streams import SetStream, principal_function
+from .streams import _CHAR_BITS, SetStream, principal_function
 
 # A full tree of height h holds 2^(h+1) - 1 strings, and time and memory
 # double with every level: height 20 takes about 1.5 s and 290 MB
@@ -235,26 +236,34 @@ def build_wct_injection(guesses: Mapping[int, str], max_n: int) -> WctInjection:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    one_positions: dict[int, list[int]] = {}
+    blocks = []  # (low, high, 0/1 bytes of the guess, its ones low..high-1)
     for n in range(1, max_n + 1):
         guess = guesses[n]
         if not _is_bits(guess):
             raise ValueError(f"guess for block {n} is not a bit string")
-        one_positions[n] = [i for i, c in enumerate(guess) if c == "1"]
+        low, high = factorial(n - 1) if n > 1 else 0, factorial(n)
+        bits = guess.encode("ascii").translate(_CHAR_BITS)
+        blocks.append((low, high, bits, list(islice(compress(range(len(bits)), bits), low, high))))
 
+    # A value is a ones position or the least unassigned value, which is
+    # below max_n! because fewer than max_n! values are ever assigned.
+    size = max([factorial(max_n)] + [len(bits) for _, _, bits, _ in blocks])
+    assigned = bytearray(size)
     table: list[int] = []
-    assigned: set[int] = set()
     next_free = 0
-    for n in range(1, max_n + 1):
-        ones = one_positions[n]
-        for j in range(factorial(n - 1) if n > 1 else 0, factorial(n)):
-            if j < len(ones) and ones[j] not in assigned:
-                value = ones[j]
-            else:
-                while next_free in assigned:
-                    next_free += 1
-                value = next_free
-            assigned.add(value)
+    for low, high, bits, preferred in blocks:
+        if len(preferred) == high - low:
+            first, last = preferred[0], preferred[-1] + 1
+            if assigned.find(1, first, last) < 0:
+                # Nothing in [first, last) is assigned yet, and the guess has
+                # ones there exactly at the preferred values: take them all.
+                assigned[first:last] = bits[first:last]
+                table += preferred
+                continue
+        for value in preferred + [None] * (high - low - len(preferred)):
+            if value is None or assigned[value]:
+                value = next_free = assigned.index(0, next_free)
+            assigned[value] = 1
             table.append(value)
 
     return WctInjection(

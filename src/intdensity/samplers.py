@@ -95,13 +95,14 @@ class Sampler:
         the identity, which requires the table to map [0, len) onto itself.
         """
         table = tuple(values)
-        if any(v < 0 for v in table):
+        if min(table, default=0) < 0:
             raise ValueError("table values must be naturals")
-        seen: set[int] = set()
-        for v in table:
-            if v in seen:
-                raise InjectivityError(f"table repeats value {v}")
-            seen.add(v)
+        if len(set(table)) < len(table):
+            seen: set[int] = set()
+            for v in table:
+                if v in seen:
+                    raise InjectivityError(f"table repeats value {v}")
+                seen.add(v)
         # n distinct naturals whose maximum is n - 1 are exactly 0..n-1.
         is_perm = max(table, default=-1) == len(table) - 1
         if kind is None:

@@ -11,7 +11,9 @@ Each kind of set has one backend:
   `empty` specs, `SetStream.from_members`, and the graph and image sets
   built by `constructions.graph_set` and `weakrep.image_set`;
 * bit buffers hold 0/1 bytes: `file:` streams are a fixed buffer, and
-  `seed:` streams fill theirs on demand;
+  `seed:` streams fill theirs on demand, only as far as a query needs.
+  The fill computes thousands of bits per step (see `_SeededBits`), and
+  every bit equals its per-index definition `splitmix64`;
 * rules (`SetStream.from_function`) call a membership function per bit,
   for sets defined through another stream: `constructions.prefix_set`
   and `samplers.image_stream`;
@@ -20,10 +22,13 @@ Each kind of set has one backend:
 
 from __future__ import annotations
 
+import sys
 import threading
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import compress, islice
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -38,6 +43,13 @@ _MIX_MUL_1 = 0xBF58476D1CE4E5B9
 _MIX_MUL_2 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 
+# A seeded buffer fills up to the first multiple of _GRANULE at or past
+# a request, never further.  One bulk step computes _CHUNK bits in _CHUNK
+# 128-bit lanes of one 64 KB int; steps of 2^14 lanes were no faster and
+# raised peak memory.
+_GRANULE = 1024
+_CHUNK = 1 << 12
+
 # Render a 0/1 byte buffer as the characters "0"/"1", and back.
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 _CHAR_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -49,6 +61,27 @@ def splitmix64(seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX_MUL_1) & _U64
     z = ((z ^ (z >> 27)) * _MIX_MUL_2) & _U64
     return z ^ (z >> 31)
+
+
+@cache
+def _lanes() -> tuple[int, int, int]:
+    """(steps, ones, low) over _CHUNK 128-bit lanes, built once by doubling.
+
+    Lane k of `steps` holds (k+1)*GAMMA mod 2^64, lane k of `ones` holds 1
+    and lane k of `low` holds 2^64 - 1.
+    """
+    steps, ones, width = SPLITMIX_GAMMA, 1, 1
+    while width < _CHUNK:
+        # lane width + k is lane k plus width*GAMMA, mod 2^64
+        stride = (width * SPLITMIX_GAMMA) & _U64
+        steps |= ((steps + stride * ones) & (ones * _U64)) << (128 * width)
+        ones |= ones << (128 * width)
+        width *= 2
+    return steps, ones, ones * _U64
+
+
+def _horizon_error(index: int, horizon: int) -> HorizonError:
+    return HorizonError(f"index {index} outside evaluation horizon [0, {horizon})")
 
 
 class _Backend:
@@ -65,6 +98,10 @@ class _Backend:
 
     def members_below(self, n: int) -> list[int]:
         return [i for i in range(n) if self.bit(i)]
+
+    def gather(self, indices: Sequence[int]) -> bytes:
+        """The bits at the given in-horizon indices, as 0/1 bytes."""
+        return bytes(map(self.bit, indices))
 
     def kth_one(self, k: int, bound: int) -> Optional[int]:
         found = 0
@@ -107,6 +144,12 @@ class _Members(_Backend):
     def members_below(self, n):
         return self._members[: bisect_left(self._members, n)]
 
+    def prefix(self, n):
+        bits = bytearray(n)
+        for member in self.members_below(n):
+            bits[member] = 1
+        return bits.translate(_BIT_CHARS).decode("ascii")
+
     def kth_one(self, k, bound):
         if k < len(self._members) and self._members[k] < bound:
             return self._members[k]
@@ -128,7 +171,7 @@ class _Buffered(_Backend):
             return
         with self._lock:
             if len(self._buf) < upto:
-                self._fill(max(upto, 2 * len(self._buf), 1024))
+                self._fill(-(-upto // _GRANULE) * _GRANULE)
 
     def bit(self, index):
         self._ensure(index + 1)
@@ -142,12 +185,32 @@ class _Buffered(_Backend):
         self._ensure(n)
         return self._buf[:n].translate(_BIT_CHARS).decode("ascii")
 
+    def gather(self, indices):
+        self._ensure(max(indices, default=-1) + 1)
+        return bytes(map(self._buf.__getitem__, indices))
+
     def kth_one(self, k, bound):
-        self._ensure(bound)
-        return next(islice(compress(range(bound), self._buf), k, None), None)
+        # Grow one chunk at a time until the k-th one is present, so the
+        # buffer ends at most one chunk past it, whatever the bound.
+        buf = self._buf
+        ones = buf.count(1, 0, bound)
+        while ones <= k and len(buf) < bound:
+            start = len(buf)
+            self._ensure(min(start + _CHUNK, bound))
+            ones += buf.count(1, start, bound)
+        return next(islice(compress(range(bound), buf), k, None), None)
 
 
 class _SeededBits(_Buffered):
+    """Bits of `seed:` specs, computed _CHUNK at a time in 128-bit lanes.
+
+    Lane k of a step holds the mixer input of bit start + k, and the
+    finalizer runs on all lanes of one Python int at once.  Every lane is
+    masked to 64 bits before each multiply, so a lane's product fits in
+    its 128 bits and no carry reaches the next lane.  Each bit equals
+    `splitmix64(seed, i) % den < num`.
+    """
+
     def __init__(self, seed: int, num: int, den: int):
         super().__init__()
         self._seed = seed
@@ -156,10 +219,31 @@ class _SeededBits(_Buffered):
 
     def _fill(self, upto):
         seed, num, den = self._seed, self._num, self._den
+        # For den = 2^d <= 2^64, v mod den < num iff bit d of
+        # (den - 1 - v mod den) + num is set: one add and one shift per step.
+        power = den & (den - 1) == 0 and den <= 1 << 64
+        shift = den.bit_length() - 1
+        steps, ones, low = _lanes()
         start = len(self._buf)
-        self._buf.extend(
-            1 if splitmix64(seed, i) % den < num else 0 for i in range(start, upto)
-        )
+        while start < upto:
+            n = min(_CHUNK, upto - start)
+            if n < _CHUNK:
+                mask = (1 << (128 * n)) - 1
+                steps, ones, low = steps & mask, ones & mask, low & mask
+            z = (steps + ((seed + start * SPLITMIX_GAMMA) & _U64) * ones) & low
+            z = (((z ^ (z >> 30)) & low) * _MIX_MUL_1) & low
+            z = (((z ^ (z >> 27)) & low) * _MIX_MUL_2) & low
+            z ^= z >> 31  # only the low 64 bits of each lane are read below
+            if power:
+                top = (den - 1) * ones
+                bits = ((((z & top) ^ top) + num * ones) >> shift).to_bytes(16 * n, "little")
+                self._buf += bits[::16]
+            else:
+                words = array("Q", z.to_bytes(16 * n, "little"))
+                if sys.byteorder == "big":
+                    words.byteswap()
+                self._buf += bytes(map(num.__gt__, map(den.__rmod__, words[::2])))
+            start += n
 
 
 class _Rule(_Backend):
@@ -213,9 +297,7 @@ class SetStream:
 
     def bit(self, index: int) -> int:
         if index < 0 or index >= self._horizon:
-            raise HorizonError(
-                f"index {index} outside evaluation horizon [0, {self._horizon})"
-            )
+            raise _horizon_error(index, self._horizon)
         return self._backend.bit(index)
 
     def count_below(self, n: int) -> int:
@@ -228,7 +310,8 @@ class SetStream:
         """The first n bits as a binary string.
 
         Backends render it in bulk where they can: buffered streams slice
-        their byte buffer and translate it in one call.
+        their byte buffer, member lists set their members in a zero buffer,
+        and either buffer is translated in one call.
         """
         if n < 0 or n > self._horizon:
             raise HorizonError(f"prefix length {n} outside [0, {self._horizon}]")
@@ -374,6 +457,36 @@ def density_profile(stream: SetStream, checkpoints: Sequence[int]) -> DensityPro
         observed_sup=max(values),
         observed_inf=min(values),
     )
+
+
+def preimage_hits(
+    stream: SetStream, values: Sequence[int], checkpoints: Sequence[int]
+) -> list[int]:
+    """For each checkpoint n, the number of j < n with values[j] in the set.
+
+    `values` are a sampler's values on [0, max checkpoint), so the counts
+    are n * preimage_partial_density(stream, sampler, n) at every
+    checkpoint.  The stream's bits are read in one bulk gather, and a value
+    outside the horizon raises the HorizonError that `SetStream.bit` would,
+    for the first such value in input order.
+    """
+    if checkpoints and checkpoints[0] < 1:
+        raise HorizonError("preimage density needs a checkpoint n >= 1")
+    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
+        raise ValueError("checkpoints must be strictly increasing")
+    last = checkpoints[-1] if checkpoints else 0
+    if len(values) != last:
+        raise ValueError(f"need the {last} values below the last checkpoint, got {len(values)}")
+    horizon = stream.horizon
+    if values and (min(values) < 0 or max(values) >= horizon):
+        raise _horizon_error(next(v for v in values if not 0 <= v < horizon), horizon)
+    bits = stream._backend.gather(values)
+    counts, hits, start = [], 0, 0
+    for n in checkpoints:
+        hits += bits.count(1, start, n)
+        counts.append(hits)
+        start = n
+    return counts
 
 
 def principal_function(stream: SetStream, k: int) -> int:

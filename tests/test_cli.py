@@ -108,6 +108,17 @@ class TestConstructionCommands:
         assert len(blocks) == 4
         assert all(row["meets_bound"] for row in blocks)
 
+    def test_wct_report_does_not_depend_on_the_horizon(self, capsys):
+        reports = []
+        for horizon in ("10000", "1000000000"):
+            code, report = run_json(
+                capsys, "wct", "--set", "seed:42", "--horizon", horizon,
+                "--nmax", "6", "--oracle-trace",
+            )
+            assert code == 0
+            reports.append((report["results"], report["checks"]))
+        assert reports[0] == reports[1]
+
     def test_wct_trace_file(self, capsys, tmp_path):
         trace = tmp_path / "trace.txt"
         trace.write_text("1:0000\n2:0000\n3:0000\n")

@@ -5,7 +5,8 @@ The codes are bijections that round-trip and keep their documented order;
 prefix codes; `build_wct_injection` meets the 1 - 1/n bound at n! whenever
 the guess for block n is true, whatever the other blocks guess (that it is
 total and injective for any guesses is checked in
-`test_injectivity_properties.py`).
+`test_injectivity_properties.py`), and its table equals the one built
+input by input with a set of assigned values.
 """
 
 from fractions import Fraction
@@ -117,3 +118,37 @@ def test_wct_injection_meets_the_bound_wherever_a_guess_is_true(case, seed, data
     for n in true_blocks:
         density = preimage_partial_density(stream, sampler, factorial(n))
         assert density >= 1 - Fraction(1, n)
+
+
+def set_built_wct_table(guesses, max_n):
+    """The injection's table, built input by input with a set of assigned values."""
+    table, assigned, next_free = [], set(), 0
+    for n in range(1, max_n + 1):
+        ones = [i for i, c in enumerate(guesses[n]) if c == "1"]
+        for j in range(factorial(n - 1) if n > 1 else 0, factorial(n)):
+            if j < len(ones) and ones[j] not in assigned:
+                value = ones[j]
+            else:
+                while next_free in assigned:
+                    next_free += 1
+                value = next_free
+            assigned.add(value)
+            table.append(value)
+    return tuple(table)
+
+
+@PROPERTY
+@given(case=guess_maps(), seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_wct_table_matches_the_set_built_table(case, seed, data):
+    max_n, guesses = case
+    # True guesses and prefixes of one source let whole blocks take their
+    # preferred values; random guesses collide with earlier blocks.
+    stream = SetStream.from_spec(f"seed:{seed}", 4 * factorial(max_n) + 400)
+    source = data.draw(st.text("01", max_size=4 * factorial(max_n)), label="source")
+    for n in data.draw(st.sets(st.integers(1, max_n)), label="true blocks"):
+        guesses[n] = wct_target(stream, n)
+    for n in data.draw(st.sets(st.integers(1, max_n)), label="source blocks"):
+        guesses[n] = source[: data.draw(st.integers(0, len(source)))]
+    injection = build_wct_injection(guesses, max_n)
+    assert type(injection.table) is tuple
+    assert injection.table == set_built_wct_table(guesses, max_n)

@@ -5,8 +5,9 @@ kept here: the per-child `startswith` scan of `build_prefix_tree`, the
 tuple-membership closure check of `PrefixTree`, the per-bit join of
 `SetStream.prefix`, the zero-padded `string_decode`, the per-character
 bit-string check, the membership closures of `graph_set` and `image_set`,
-the `find` loop of the buffered `kth_one`, and the per-character
-membership rule of `prefix_set`.
+the `find` loop of the buffered `kth_one`, the per-character membership
+rule of `prefix_set`, the per-index `splitmix64` definition of seeded
+bits, and per-checkpoint `preimage_partial_density` for `preimage_hits`.
 """
 
 import random
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intdensity import (
+    HorizonError,
     InsufficientElementsError,
     PrefixTree,
     Sampler,
@@ -27,14 +29,17 @@ from intdensity import (
     graph_set,
     image_set,
     prefix_code_sampler,
+    preimage_hits,
+    preimage_partial_density,
     prefix_set,
     principal_function,
+    splitmix64,
     string_code,
     string_decode,
 )
 from intdensity.codes import _check_bits
 from intdensity.samplers import eval_sampler
-from intdensity.streams import _Buffered
+from intdensity.streams import _CHUNK, _GRANULE, _Buffered, _Members, _SeededBits
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -239,19 +244,27 @@ def test_prefix_matches_per_bit_join(kind, tmp_path):
     assert STREAMS[kind](tmp_path).prefix(1500) == per_bit_prefix(slow, 1500)
 
 
+BULK_RENDERED = [
+    (_Buffered, lambda: SetStream.from_spec("seed:9", 10_000)),
+    (_Members, lambda: SetStream.from_spec("list:1,5,77,2000,9999", 10_000)),
+    (_Members, lambda: SetStream.from_members(range(3, 10_000, 4), 10_000)),
+]
+
+
 def test_bulk_rendering_makes_no_per_bit_calls(monkeypatch):
-    calls = [0]
-    per_bit = _Buffered.bit
+    for backend, make in BULK_RENDERED:
+        calls = [0]
+        per_bit = backend.bit
 
-    def counted(self, index):
-        calls[0] += 1
-        return per_bit(self, index)
+        def counted(self, index, per_bit=per_bit):
+            calls[0] += 1
+            return per_bit(self, index)
 
-    monkeypatch.setattr(_Buffered, "bit", counted)
-    stream = SetStream.from_spec("seed:9", 10_000)
-    bits = stream.prefix(10_000)
-    assert calls[0] == 0
-    assert bits == per_bit_prefix(SetStream.from_spec("seed:9", 10_000), 10_000)
+        monkeypatch.setattr(backend, "bit", counted)
+        bits = make().prefix(10_000)
+        monkeypatch.undo()
+        assert calls[0] == 0, backend
+        assert bits == per_bit_prefix(make(), 10_000)
 
 
 # -- bulk queries of every backend ---------------------------------------------
@@ -357,6 +370,98 @@ def test_prefix_set_matches_per_character_membership(members, horizon, spec):
     expected = [c for c in range(fast.horizon) if per_character_prefix_member(source, c)]
     assert fast.members_below(fast.horizon) == expected
     assert expected == [string_code(source.prefix(k)) for k in range(horizon + 1)]
+
+
+# -- seeded bits in bulk -------------------------------------------------------
+
+# The last three guard the lane arithmetic: 2^64 is the largest
+# power-of-two denominator that the lane-wise test handles, and larger
+# powers of two take the per-lane remainder.  At 2^100 the lane-wise test
+# would also read bits that the final xor-shift carries in from the next
+# lane, and a numerator above 2^64 makes that visible.
+PROBABILITIES = [
+    (0, 1), (1, 1), (0, 2), (2, 2), (1, 2), (3, 4), (1, 5), (2, 5), (3, 7),
+    (5, 2**20), (1, 2**64), (3, 2**70), (2**64 + 1, 2**100),
+]
+EDGES = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+
+
+def per_index_bits(seed, num, den, n):
+    return bytes(splitmix64(seed, i) % den < num for i in range(n))
+
+
+@pytest.mark.parametrize("num, den", PROBABILITIES)
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.sampled_from([0, 42, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+    start=st.sampled_from(EDGES) | st.integers(0, 2 * _CHUNK),
+    length=st.sampled_from(EDGES) | st.integers(0, 2 * _CHUNK),
+)
+@example(seed=0, start=0, length=2 * _CHUNK + 1)
+@example(seed=42, start=_CHUNK - 1, length=_CHUNK + 2)
+@example(seed=2**64 - 1, start=1, length=3 * _CHUNK)
+def test_bulk_fill_matches_splitmix64(num, den, seed, start, length):
+    backend = _SeededBits(seed, num, den)
+    backend._fill(start)
+    backend._fill(start + length)
+    assert bytes(backend._buf) == per_index_bits(seed, num, den, start + length)
+
+
+@pytest.mark.parametrize("upto", [1, 1023, 1024, 1025, 5000, _CHUNK * 3 + 1])
+def test_fills_stop_within_a_granule_of_the_request(upto):
+    stream = SetStream.from_spec("seed:4", 10**12)
+    stream.count_below(upto)
+    assert upto <= len(stream._backend._buf) < upto + _GRANULE
+
+
+@pytest.mark.parametrize("spec", ["seed:42", "seed:7:p=1/5"])
+def test_principal_function_fills_only_to_the_kth_one(spec):
+    stream = SetStream.from_spec(spec, 10**12)
+    k = 100_000
+    pos = principal_function(stream, k)
+    buf = stream._backend._buf
+    assert pos < len(buf) <= pos + _CHUNK
+    assert pos == find_loop_kth_one(buf, k, len(buf))
+
+
+# -- preimage_hits --------------------------------------------------------------
+
+HIT_STREAMS = ["seed:7:p=2/5", "seed:3", "list:0,3,4,9,100,250,399,600", "evens", "full"]
+HIT_SAMPLERS = {
+    "identity": Sampler.identity,
+    "double": Sampler.double,
+    "table": lambda: Sampler.from_table(random.Random(5).sample(range(700), 300)),
+}
+
+
+@pytest.mark.parametrize("spec", HIT_STREAMS)
+@pytest.mark.parametrize("name", sorted(HIT_SAMPLERS))
+@settings(max_examples=12, deadline=None)
+@given(
+    horizon=st.integers(1, 800),
+    checkpoints=st.lists(st.integers(0, 300), min_size=1, max_size=6, unique=True).map(sorted),
+)
+def test_preimage_hits_match_per_checkpoint_densities(spec, name, horizon, checkpoints):
+    sampler = HIT_SAMPLERS[name]()
+    values = tuple(eval_sampler(sampler, j) for j in range(checkpoints[-1]))
+    slow = SetStream.from_spec(spec, horizon)
+    try:
+        expected = [preimage_partial_density(slow, sampler, n) * n for n in checkpoints]
+    except HorizonError as exc:
+        with pytest.raises(HorizonError) as err:
+            preimage_hits(SetStream.from_spec(spec, horizon), values, checkpoints)
+        assert str(err.value) == str(exc)
+    else:
+        assert preimage_hits(SetStream.from_spec(spec, horizon), values, checkpoints) == expected
+
+
+def test_preimage_hits_refuses_bad_arguments():
+    stream = SetStream.from_spec("evens", 10)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        preimage_hits(stream, [0, 1, 2], [3, 2])
+    with pytest.raises(ValueError, match="need the 3 values below the last checkpoint, got 2"):
+        preimage_hits(stream, [0, 1], [1, 3])
+    assert preimage_hits(stream, [0, 1, 2, 4], [1, 4]) == [1, 3]
 
 
 # -- string_decode and _check_bits ---------------------------------------------
