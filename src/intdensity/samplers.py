@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from .codes import _data_lines, _int_field
 from .errors import DomainError, HorizonError, InjectivityError
-from .streams import SetStream, partial_density
+from .streams import SetStream
 
 
 class Sampler:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Callable, Mapping, Optional, Sequence
 
 from .codes import (
@@ -42,12 +42,14 @@ class WeakRepTable:
 
     @classmethod
     def from_triples(cls, triples, horizon: int) -> "WeakRepTable":
-        frozen = frozenset((int(x), int(y), int(z)) for x, y, z in triples)
-        if any(x < 0 or y < 0 or z < 0 for x, y, z in frozen):
+        rows = [(x, y, z) for x, y, z in triples]
+        parts = list(chain.from_iterable(rows))
+        kinds = set(map(type, parts))  # the rule of codes._check_natural: ints, not bools
+        if bool in kinds or not all(issubclass(k, int) for k in kinds) or min(parts or [0]) < 0:
             raise ValueError("triple components must be naturals")
         if horizon < 0:
             raise ValueError("horizon must be a natural number")
-        return cls(triples=frozen, horizon=horizon)
+        return cls(triples=frozenset(rows), horizon=horizon)
 
     def codes(self) -> list[int]:
         """The triples as pair codes <x,<y,z>>, sorted."""

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from intdensity import cli, constructions, samplers, weakrep
 from intdensity.cli import main
+from intdensity.samplers import eval_sampler
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +164,50 @@ class TestConstructionCommands:
         assert rows[0]["adversary"] == 3  # 1 + max over [0, 2]
 
 
+class TestAdversaryEvaluations:
+    """`dom` and `hits` read the sampler's prefix once, not once per row."""
+
+    @staticmethod
+    def count_evaluations(monkeypatch):
+        """Every evaluation, through whichever module makes it."""
+        calls = []
+
+        def counted(sampler, x):
+            calls.append(x)
+            return eval_sampler(sampler, x)
+
+        for module in (cli, constructions, samplers, weakrep):
+            monkeypatch.setattr(module, "eval_sampler", counted)
+        return calls
+
+    @pytest.mark.parametrize("sampler", ["identity", "double", "swapblocks:3"])
+    @pytest.mark.parametrize("q, nmax", [(1, 0), (2, 3), (3, 40)])
+    def test_dom_reads_the_prefix_once(self, capsys, monkeypatch, sampler, q, nmax):
+        calls = self.count_evaluations(monkeypatch)
+        f_values = ",".join(str(2 * n) for n in range(nmax + 1))
+        code, report = run_json(
+            capsys, "dom", "--sampler", sampler, "--f-values", f_values,
+            "--q", str(q), "--nmax", str(nmax),
+        )
+        assert code == 0 and len(report["results"]["rows"]) == nmax + 1
+        assert calls == list(range((nmax + 1) * q + 1))
+
+    @pytest.mark.parametrize("q, horizon", [(1, 1), (1, 40), (2, 25), (3, 12)])
+    def test_hits_reads_the_prefix_at_most_twice(
+        self, capsys, monkeypatch, tmp_path, q, horizon
+    ):
+        # j -> <j, 0>, so with zero values every input is a hit.
+        table = tmp_path / "pairs.csv"
+        table.write_text("".join(f"{j},{j * (j + 1) // 2}\n" for j in range(horizon * q)))
+        calls = self.count_evaluations(monkeypatch)
+        code, report = run_json(
+            capsys, "hits", "--sampler", f"table:{table}", "--values", ",".join(["0"] * horizon),
+            "--q", str(q),
+        )
+        assert code == 0 and report["results"]["hits"] == list(range(horizon))
+        assert len(calls) <= 2 * horizon * q
+
+
 class TestCodesCommands:
     def test_k(self, capsys):
         assert run_json(capsys, "codes", "k", "--n", "5")[1]["results"]["code"] == "001101"
@@ -207,6 +253,10 @@ class TestRefusedInputs:
             (["codes", "setcode", "--members", "20000"], "error: Exceeds the limit"),
             (["--format", "csv", "codes", "setcode", "--members", "20000"],
              "error: Exceeds the limit"),
+            (["dom", "--sampler", "identity", "--f-values", "1,2", "--q", "0", "--nmax", "1"],
+             "error: q must be >= 1"),
+            (["hits", "--sampler", "identity", "--values", "0,0", "--q", "0"],
+             "error: q must be >= 1"),
         ],
     )
     def test_exit_two_with_one_error_line(self, capsys, argv, message):
@@ -215,6 +265,25 @@ class TestRefusedInputs:
         assert captured.out == ""
         assert captured.err.startswith(message)
         assert captured.err.count("\n") == 1
+
+    def test_dom_past_a_table_domain(self, capsys, tmp_path):
+        table = tmp_path / "perm.csv"
+        table.write_text("0,2\n1,0\n2,1\n")
+        argv = ["dom", "--sampler", f"table:{table}", "--f-values", "2,1,0", "--q", "1"]
+        assert main(argv + ["--nmax", "1"]) == 0  # reads [0, 2]
+        capsys.readouterr()
+        assert main(argv + ["--nmax", "2"]) == 2  # needs input 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input 3 outside sampler domain [0, 3)\n"
+
+    def test_dom_without_rows_ignores_q(self, capsys):
+        code, report = run_json(
+            capsys, "dom", "--sampler", "identity", "--f-values", "1", "--q", "0", "--nmax", "-1"
+        )
+        assert code == 0
+        assert report["results"] == {"rows": []}
+        assert report["checks"] == []
 
     def test_largest_printable_set_code_still_prints(self, capsys):
         code, report = run_json(capsys, "codes", "setcode", "--members", "14000")

@@ -6,7 +6,9 @@ report echoes are the same in any checkout.  The cases cover every AC9
 invocation plus one for each input parser: values and codes files, guess,
 table, manifest and sigma files with blank and `#` lines, a failing CSV
 validation whose witness is a tuple, an unsorted `list:` spec and a `file:`
-spec with mixed whitespace.
+spec with mixed whitespace.  The `dom` and `hits` cases also cover table
+and `swapblocks` samplers, q = 3, a CSV report and a run where every input
+is a hit.
 
 A recorded file is the exact stdout of its invocation, `.csv` for CSV
 reports and `.json` otherwise; replacing one changes an expected output and
@@ -25,6 +27,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 FILES = {
     "perm.csv": "0,2\n1,0\n2,1\n",
+    "pairs.csv": "0,0\n1,1\n2,3\n3,6\n4,10\n5,15\n",
     "trace.txt": "1:10\n2:1010\n",
     "trace-comments.txt": "# guesses\n\n1:10\n  # block 2\n2:1010\n\n",
     "table.txt": "0,2,3\n0,2,4\n0,2,5\n0,2,6\n",
@@ -153,6 +156,23 @@ CASES = {
     ]),
     "prefix-set-file-mixed-whitespace": (0, [
         "prefix-set", "--set", "file:bits.txt", "--count", "17",
+    ]),
+    # The adversary commands beyond identity and double at q <= 2.
+    "dom-table": (0, [
+        "dom", "--sampler", "table:perm.csv", "--f-values", "2,1", "--q", "1",
+        "--nmax", "1",
+    ]),
+    "dom-swapblocks-q3": (0, [
+        "dom", "--sampler", "swapblocks:2", "--f-values", "0,5,3,9", "--q", "3",
+        "--nmax", "3",
+    ]),
+    "csv-dom-double": (0, [
+        "--format", "csv", "dom", "--sampler", "double", "--f-values", "0,2,5,8",
+        "--q", "1", "--nmax", "3",
+    ]),
+    # pairs.csv maps j to <j, 0>, so with zero values every input is a hit.
+    "hits-table-all-hits": (0, [
+        "hits", "--sampler", "table:pairs.csv", "--values", "0,0,0,0,0,0", "--q", "1",
     ]),
 }
 

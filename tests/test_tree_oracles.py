@@ -7,17 +7,23 @@ tuple-membership closure check of `PrefixTree`, the per-bit join of
 bit-string check, the membership closures of `graph_set` and `image_set`,
 the `find` loop of the buffered `kth_one`, the per-character membership
 rule of `prefix_set`, the per-index `splitmix64` definition of seeded
-bits, and per-checkpoint `preimage_partial_density` for `preimage_hits`.
+bits, per-checkpoint `preimage_partial_density` for `preimage_hits`, the
+running-image loop of `hit_indices`, and the per-row `dominating_adversary`,
+`image_interval` and `trace_from_sampler` calls of the `dom` and `hits`
+commands.
 """
 
 import random
+from argparse import Namespace
 from bisect import bisect_left
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intdensity import (
+    DomainError,
     HorizonError,
     InsufficientElementsError,
     PrefixTree,
@@ -26,7 +32,10 @@ from intdensity import (
     build_prefix_tree,
     cantor_pair,
     cantor_unpair,
+    dominating_adversary,
     graph_set,
+    hit_indices,
+    image_interval,
     image_set,
     prefix_code_sampler,
     preimage_hits,
@@ -36,7 +45,9 @@ from intdensity import (
     splitmix64,
     string_code,
     string_decode,
+    trace_from_sampler,
 )
+from intdensity import cli
 from intdensity.codes import _check_bits
 from intdensity.samplers import eval_sampler
 from intdensity.streams import _CHUNK, _GRANULE, _Buffered, _Members, _SeededBits
@@ -462,6 +473,158 @@ def test_preimage_hits_refuses_bad_arguments():
     with pytest.raises(ValueError, match="need the 3 values below the last checkpoint, got 2"):
         preimage_hits(stream, [0, 1], [1, 3])
     assert preimage_hits(stream, [0, 1, 2, 4], [1, 4]) == [1, 3]
+
+
+# -- the adversary commands: hit_indices, dom and hits -------------------------
+
+
+def running_hit_indices(sampler, values, q, horizon):
+    """`hit_indices` as a running image set, grown one input at a time."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if horizon > len(values):
+        raise ValueError("function table does not cover [0, horizon)")
+    image: set[int] = set()
+    evaluated = 0
+    hits = set()
+    for m in range(horizon):
+        while evaluated < (m + 1) * q:
+            image.add(eval_sampler(sampler, evaluated))
+            evaluated += 1
+        if cantor_pair(m, values[m]) in image:
+            hits.add(m)
+    return hits
+
+
+def per_row_dom(sampler, f_values, q, nmax):
+    """The `dom` results and checks, recomputing the bound and image for every row."""
+    if nmax >= len(f_values):
+        raise ValueError("--nmax needs f values up to that index")
+    rows = []
+    checks = []
+    for n in range(nmax + 1):
+        bound = dominating_adversary(f_values, sampler, q, n)
+        hit = f_values[n] in image_interval(sampler, (n + 1) * q)
+        rows.append({"n": n, "adversary": bound, "f": f_values[n], "hit": hit})
+        if hit:
+            checks.append(
+                cli._check(f"dominates_{n}", bound > f_values[n], f"{bound} > {f_values[n]}")
+            )
+    return {"rows": rows}, {}, checks
+
+
+@st.composite
+def adversary_samplers(draw):
+    """A tree-test table, a table of pair codes <a, b> with small a and b, or a builtin."""
+    kind = draw(st.sampled_from(["tree-table", "pair-table", "builtin"]))
+    if kind == "tree-table":
+        return draw(table_samplers())[0]
+    if kind == "pair-table":  # <a, b> near input a, so that many inputs are hits
+        seconds = st.lists(st.lists(st.integers(0, 3), max_size=3, unique=True), max_size=14)
+        codes = [cantor_pair(a, b) for a, bs in enumerate(draw(seconds)) for b in bs]
+        return Sampler.from_table(codes, "injection")
+    k = draw(st.integers(0, 5))
+    return draw(st.sampled_from(
+        [Sampler.identity(), Sampler.double(), Sampler.shift(k), Sampler.swapblocks(k + 1)]
+    ))
+
+
+def same_outcome(fast, slow):
+    """fast() returns what slow() returns, or raises the same error type and message."""
+    try:
+        expected = slow()
+    except (ValueError, DomainError) as exc:
+        with pytest.raises(type(exc)) as err:
+            fast()
+        assert str(err.value) == str(exc)
+        return None
+    assert fast() == expected
+    return expected
+
+
+@st.composite
+def hit_cases(draw):
+    """(sampler, values, q, horizon), q >= 1 and horizon <= len(values)."""
+    values = draw(st.lists(st.integers(0, 3), max_size=14))
+    horizon = draw(st.integers(0, len(values)))
+    return draw(adversary_samplers()), values, draw(st.integers(1, 3)), horizon
+
+
+@PROPERTY
+@given(case=hit_cases())
+@example(case=(Sampler.from_table([0, 1, 3]), [0] * 5, 1, 5))
+@example(case=(Sampler.identity(), [0, 0], 0, 2))
+@example(case=(Sampler.identity(), [0, 0], 0, 3))
+@example(case=(Sampler.identity(), [0, 0], 1, 3))
+def test_hit_indices_match_the_running_image(case):
+    sampler, values, q, horizon = case
+    same_outcome(
+        lambda: hit_indices(sampler, values, q, horizon),
+        lambda: running_hit_indices(sampler, values, q, horizon),
+    )
+
+
+@PROPERTY
+@given(case=hit_cases())
+@example(case=(Sampler.from_table([0, 1, 3]), [0] * 5, 1, 5))
+@example(case=(Sampler.from_table([0, 1, 3, 6, 10]), [0] * 5, 1, 5))
+@example(case=(Sampler.identity(), [0, 0], 0, 2))
+def test_hits_traces_match_trace_from_sampler(case):
+    sampler, values, q, horizon = case
+    args = Namespace(sampler="", values=",".join(map(str, values)), values_file=None,
+                     q=q, horizon=horizon)
+    seen = []
+
+    class RecordingSet(set):
+        """The trace set of `hits`, copied at each membership test."""
+
+        def __contains__(self, item):
+            seen.append(frozenset(self))
+            return super().__contains__(item)
+
+    with mock.patch.object(cli, "parse_sampler", lambda spec: sampler):
+        hits = same_outcome(lambda: cli._run_hits(args)[0]["hits"],
+                            lambda: sorted(running_hit_indices(sampler, values, q, horizon)))
+        if hits is None:
+            return
+        with mock.patch.object(cli, "set", RecordingSet, create=True):
+            checks = cli._run_hits(args)[2]
+    traces = [trace_from_sampler(sampler, q, m) for m in hits]
+    assert seen == traces
+    assert [c["pass"] for c in checks] == [
+        values[m] in t and len(t) <= (m + 1) * q for m, t in zip(hits, traces)
+    ]
+
+
+@st.composite
+def dom_cases(draw):
+    """(sampler, f_values, q, nmax), q >= 1 and 0 <= nmax < len(f_values)."""
+    f_values = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12))
+    nmax = draw(st.integers(0, len(f_values) - 1))
+    return draw(adversary_samplers()), f_values, draw(st.integers(1, 3)), nmax
+
+
+@PROPERTY
+@given(case=dom_cases())
+@example(case=(Sampler.from_table([2, 0, 1]), [2, 1, 0], 1, 2))
+@example(case=(Sampler.identity(), [2, 1, 0], 1, 3))
+@example(case=(Sampler.identity(), [2, 1, 0], 0, 3))
+@example(case=(Sampler.identity(), [2, 1, 0], 0, 1))
+@example(case=(Sampler.identity(), [2, 1, 0], -1, 0))
+@example(case=(Sampler.from_table([]), [5], 0, -1))
+@example(case=(Sampler.from_table([]), [5], -3, -2))
+def test_dom_rows_match_per_row_adversaries(case):
+    sampler, f_values, q, nmax = case
+    args = Namespace(sampler="", values=",".join(map(str, f_values)), values_file=None,
+                     q=q, nmax=nmax)
+    with mock.patch.object(cli, "parse_sampler", lambda spec: sampler):
+        same_outcome(lambda: cli._run_dom(args), lambda: per_row_dom(sampler, f_values, q, nmax))
+
+
+def test_hit_indices_checks_q_before_the_horizon():
+    for hit_scan in (hit_indices, running_hit_indices):
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            hit_scan(Sampler.identity(), [], 0, 5)
 
 
 # -- string_decode and _check_bits ---------------------------------------------

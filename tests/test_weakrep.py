@@ -116,6 +116,30 @@ class TestValidator:
         assert again == table
         assert WeakRepTable.from_lines(text.splitlines()).horizon == 3
 
+    @pytest.mark.parametrize(
+        "triples",
+        [
+            [(0, 1.5, 2.9)],
+            [(0, "3", 2)],
+            [(True, 0, 2)],
+            [(0, 1, -1)],
+            [(0, 1, 2), (0, 1.0, 2)],  # equal to an int triple, still refused
+        ],
+    )
+    def test_from_triples_refuses_non_naturals(self, triples):
+        with pytest.raises(ValueError, match="^triple components must be naturals$"):
+            WeakRepTable.from_triples(triples, 3)
+
+    def test_from_triples_keeps_int_subclasses(self):
+        class Natural(int):
+            pass
+
+        table = WeakRepTable.from_triples([(Natural(0), 1, 2)], 3)
+        assert table.triples == frozenset({(0, 1, 2)})
+        assert WeakRepTable.from_triples([], 0).triples == frozenset()
+        with pytest.raises(ValueError, match="not enough values to unpack"):
+            WeakRepTable.from_triples([(0, 1)], 3)
+
     def test_codes_are_sorted_pair_codes(self):
         table = WeakRepTable.from_triples([(0, 1, 2), (1, 0, 2)], 2)
         codes = table.codes()
