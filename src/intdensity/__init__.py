@@ -64,6 +64,7 @@ from .weakrep import (
     FamilyRegistry,
     SigmaMap,
     WeakRepTable,
+    adversary_rows,
     build_pset,
     builtin_program,
     diagonal_avoid,

@@ -14,7 +14,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import accumulate
 from math import factorial
 from time import perf_counter
 
@@ -207,10 +206,10 @@ def _run_hits(args):
     values = _read_values(args.values, args.values_file)
     horizon = args.horizon if args.horizon is not None else len(values)
     hits = sorted(cons.hit_indices(sampler, values, args.q, horizon))
-    checks, trace, stops = [], set(), [(m + 1) * args.q for m in hits]
-    for m, start, stop in zip(hits, [0, *stops], stops):  # each trace extends the last one
-        trace.update(cantor_unpair(eval_sampler(sampler, j))[1] for j in range(start, stop))
-        sound = values[m] in trace and len(trace) <= stop
+    checks = []
+    for m in hits:
+        trace = cons.trace_from_sampler(sampler, args.q, m)
+        sound = values[m] in trace and len(trace) <= (m + 1) * args.q
         checks.append(_check(f"hit_{m}_sound", sound, f"f({m})={values[m]}"))
     return {"hits": hits}, {}, checks
 
@@ -218,21 +217,16 @@ def _run_hits(args):
 def _run_dom(args):
     sampler = parse_sampler(args.sampler)
     f_values = _read_values(args.values, args.values_file)
-    q, nmax = args.q, args.nmax
-    if nmax >= len(f_values):
+    if args.nmax >= len(f_values):
         raise ValueError("--nmax needs f values up to that index")
-    if nmax >= 0 and q < 1:
-        raise ValueError("q must be >= 1")
-    # One increasing pass over [0, (nmax+1)q]; samplers are injective, so `inverse` inverts it.
-    prefix = [eval_sampler(sampler, j) for j in range((nmax + 1) * q + 1)] if nmax >= 0 else []
-    maxima, inverse = list(accumulate(prefix, max)), {v: j for j, v in enumerate(prefix)}
-    rows, checks = [], []
-    for n, f in zip(range(nmax + 1), f_values):
-        bound = 1 + maxima[(n + 1) * q]
-        hit = inverse.get(f, len(prefix)) < (n + 1) * q
-        rows.append({"n": n, "adversary": bound, "f": f, "hit": hit})
+    rows = []
+    checks = []
+    for n, (bound, hit) in enumerate(wr.adversary_rows(f_values, sampler, args.q, args.nmax)):
+        rows.append({"n": n, "adversary": bound, "f": f_values[n], "hit": hit})
         if hit:
-            checks.append(_check(f"dominates_{n}", bound > f, f"{bound} > {f}"))
+            checks.append(
+                _check(f"dominates_{n}", bound > f_values[n], f"{bound} > {f_values[n]}")
+            )
     return {"rows": rows}, {}, checks
 
 

@@ -326,7 +326,13 @@ def hit_indices(sampler: Sampler, values: Sequence[int], q: int, horizon: int) -
         raise ValueError("q must be >= 1")
     if horizon > len(values):
         raise ValueError("function table does not cover [0, horizon)")
-    # Samplers are injective: `inverse` maps each value of [0, horizon*q) back to its input.
-    inverse = {eval_sampler(sampler, j): j for j in range(horizon * q)}
-    found = (inverse.get(cantor_pair(m, values[m]), horizon * q) for m in range(horizon))
-    return {m for m, j in enumerate(found) if j < (m + 1) * q}
+    image: set[int] = set()
+    evaluated = 0
+    hits = set()
+    for m in range(horizon):
+        while evaluated < (m + 1) * q:
+            image.add(eval_sampler(sampler, evaluated))
+            evaluated += 1
+        if cantor_pair(m, values[m]) in image:
+            hits.add(m)
+    return hits

@@ -308,6 +308,29 @@ def dominating_adversary(f_values: Sequence[int], sampler: Sampler, q: int, n: i
     return 1 + max(eval_sampler(sampler, j) for j in range((n + 1) * q + 1))
 
 
+def adversary_rows(
+    f_values: Sequence[int], sampler: Sampler, q: int, nmax: int
+) -> list[tuple[int, bool]]:
+    """For n = 0..nmax: dominating_adversary(f_values, sampler, q, n), and
+    whether f_values[n] is in the sampler's image of [0, (n+1)q).
+
+    One increasing pass over [0, (nmax+1)q] serves every row, so the first
+    failing input is the one the per-row computations would fail at.
+    """
+    if nmax >= 0 and q < 1:
+        raise ValueError("q must be >= 1")
+    first: dict[int, int] = {}  # each value read -> the least input giving it
+    top, rows, evaluated = -1, [], 0
+    for n in range(nmax + 1):
+        stop = (n + 1) * q
+        while evaluated <= stop:
+            value = eval_sampler(sampler, evaluated)
+            first.setdefault(value, evaluated)
+            top, evaluated = max(top, value), evaluated + 1
+        rows.append((1 + top, first.get(f_values[n], stop) < stop))
+    return rows
+
+
 # -- query-string codings ----------------------------------------------------
 
 

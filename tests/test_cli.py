@@ -165,7 +165,7 @@ class TestConstructionCommands:
 
 
 class TestAdversaryEvaluations:
-    """`dom` and `hits` read the sampler's prefix once, not once per row."""
+    """`dom` reads the sampler's prefix once, not once per row."""
 
     @staticmethod
     def count_evaluations(monkeypatch):
@@ -191,21 +191,6 @@ class TestAdversaryEvaluations:
         )
         assert code == 0 and len(report["results"]["rows"]) == nmax + 1
         assert calls == list(range((nmax + 1) * q + 1))
-
-    @pytest.mark.parametrize("q, horizon", [(1, 1), (1, 40), (2, 25), (3, 12)])
-    def test_hits_reads_the_prefix_at_most_twice(
-        self, capsys, monkeypatch, tmp_path, q, horizon
-    ):
-        # j -> <j, 0>, so with zero values every input is a hit.
-        table = tmp_path / "pairs.csv"
-        table.write_text("".join(f"{j},{j * (j + 1) // 2}\n" for j in range(horizon * q)))
-        calls = self.count_evaluations(monkeypatch)
-        code, report = run_json(
-            capsys, "hits", "--sampler", f"table:{table}", "--values", ",".join(["0"] * horizon),
-            "--q", str(q),
-        )
-        assert code == 0 and report["results"]["hits"] == list(range(horizon))
-        assert len(calls) <= 2 * horizon * q
 
 
 class TestCodesCommands:

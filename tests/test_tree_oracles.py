@@ -7,10 +7,9 @@ tuple-membership closure check of `PrefixTree`, the per-bit join of
 bit-string check, the membership closures of `graph_set` and `image_set`,
 the `find` loop of the buffered `kth_one`, the per-character membership
 rule of `prefix_set`, the per-index `splitmix64` definition of seeded
-bits, per-checkpoint `preimage_partial_density` for `preimage_hits`, the
-running-image loop of `hit_indices`, and the per-row `dominating_adversary`,
-`image_interval` and `trace_from_sampler` calls of the `dom` and `hits`
-commands.
+bits, per-checkpoint `preimage_partial_density` for `preimage_hits`, and
+the per-row `dominating_adversary` and `image_interval` calls that
+`adversary_rows` replaced in the `dom` command.
 """
 
 import random
@@ -45,7 +44,6 @@ from intdensity import (
     splitmix64,
     string_code,
     string_decode,
-    trace_from_sampler,
 )
 from intdensity import cli
 from intdensity.codes import _check_bits
@@ -475,25 +473,7 @@ def test_preimage_hits_refuses_bad_arguments():
     assert preimage_hits(stream, [0, 1, 2, 4], [1, 4]) == [1, 3]
 
 
-# -- the adversary commands: hit_indices, dom and hits -------------------------
-
-
-def running_hit_indices(sampler, values, q, horizon):
-    """`hit_indices` as a running image set, grown one input at a time."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if horizon > len(values):
-        raise ValueError("function table does not cover [0, horizon)")
-    image: set[int] = set()
-    evaluated = 0
-    hits = set()
-    for m in range(horizon):
-        while evaluated < (m + 1) * q:
-            image.add(eval_sampler(sampler, evaluated))
-            evaluated += 1
-        if cantor_pair(m, values[m]) in image:
-            hits.add(m)
-    return hits
+# -- the adversary commands: dom and hit_indices -------------------------------
 
 
 def per_row_dom(sampler, f_values, q, nmax):
@@ -543,60 +523,6 @@ def same_outcome(fast, slow):
 
 
 @st.composite
-def hit_cases(draw):
-    """(sampler, values, q, horizon), q >= 1 and horizon <= len(values)."""
-    values = draw(st.lists(st.integers(0, 3), max_size=14))
-    horizon = draw(st.integers(0, len(values)))
-    return draw(adversary_samplers()), values, draw(st.integers(1, 3)), horizon
-
-
-@PROPERTY
-@given(case=hit_cases())
-@example(case=(Sampler.from_table([0, 1, 3]), [0] * 5, 1, 5))
-@example(case=(Sampler.identity(), [0, 0], 0, 2))
-@example(case=(Sampler.identity(), [0, 0], 0, 3))
-@example(case=(Sampler.identity(), [0, 0], 1, 3))
-def test_hit_indices_match_the_running_image(case):
-    sampler, values, q, horizon = case
-    same_outcome(
-        lambda: hit_indices(sampler, values, q, horizon),
-        lambda: running_hit_indices(sampler, values, q, horizon),
-    )
-
-
-@PROPERTY
-@given(case=hit_cases())
-@example(case=(Sampler.from_table([0, 1, 3]), [0] * 5, 1, 5))
-@example(case=(Sampler.from_table([0, 1, 3, 6, 10]), [0] * 5, 1, 5))
-@example(case=(Sampler.identity(), [0, 0], 0, 2))
-def test_hits_traces_match_trace_from_sampler(case):
-    sampler, values, q, horizon = case
-    args = Namespace(sampler="", values=",".join(map(str, values)), values_file=None,
-                     q=q, horizon=horizon)
-    seen = []
-
-    class RecordingSet(set):
-        """The trace set of `hits`, copied at each membership test."""
-
-        def __contains__(self, item):
-            seen.append(frozenset(self))
-            return super().__contains__(item)
-
-    with mock.patch.object(cli, "parse_sampler", lambda spec: sampler):
-        hits = same_outcome(lambda: cli._run_hits(args)[0]["hits"],
-                            lambda: sorted(running_hit_indices(sampler, values, q, horizon)))
-        if hits is None:
-            return
-        with mock.patch.object(cli, "set", RecordingSet, create=True):
-            checks = cli._run_hits(args)[2]
-    traces = [trace_from_sampler(sampler, q, m) for m in hits]
-    assert seen == traces
-    assert [c["pass"] for c in checks] == [
-        values[m] in t and len(t) <= (m + 1) * q for m, t in zip(hits, traces)
-    ]
-
-
-@st.composite
 def dom_cases(draw):
     """(sampler, f_values, q, nmax), q >= 1 and 0 <= nmax < len(f_values)."""
     f_values = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12))
@@ -622,9 +548,8 @@ def test_dom_rows_match_per_row_adversaries(case):
 
 
 def test_hit_indices_checks_q_before_the_horizon():
-    for hit_scan in (hit_indices, running_hit_indices):
-        with pytest.raises(ValueError, match="q must be >= 1"):
-            hit_scan(Sampler.identity(), [], 0, 5)
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        hit_indices(Sampler.identity(), [], 0, 5)
 
 
 # -- string_decode and _check_bits ---------------------------------------------
