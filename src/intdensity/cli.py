@@ -20,8 +20,8 @@ from time import perf_counter
 from . import constructions as cons
 from . import weakrep as wr
 from .codes import (
-    _data_lines,
     _int_field,
+    _int_fields,
     cantor_pair,
     cantor_unpair,
     finite_set_code,
@@ -49,7 +49,7 @@ def _read_values(text, path) -> list[int]:
     if text is not None:
         return _ints(text)
     with open(path) as fh:
-        return [_int_field(line, line, "line") for line in _data_lines(fh)]
+        return _int_fields(fh, 1, lambda _, line: (_int_field(line, line, "line"),))
 
 
 def _check(name: str, passed: bool, detail) -> dict:
@@ -285,7 +285,7 @@ def _run_weakrep(args):
         table = wr.table_of_program(registry, args.index, args.horizon)
         report = wr.validate_weakrep(table)
         results = {
-            "triples": [f"{x},{y},{z}" for x, y, z in sorted(table.triples)],
+            "triples": [f"{x},{y},{z}" for x, y, z in table.sorted_triples],
             "count": len(table.triples),
         }
         checks = [_check(b.name, b.passed, b.detail) for b in report.bullets]

@@ -6,6 +6,7 @@ All codes are exact over arbitrary-precision naturals; no floats anywhere.
 
 from __future__ import annotations
 
+from itertools import chain, count, repeat
 from math import isqrt
 from typing import Iterable
 
@@ -36,6 +37,23 @@ def _int_field(text: str, source: str, kind: str = "spec") -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"bad integer {text!r} in {kind} {source!r}") from None
+
+
+def _int_fields(lines, width: int, read_line) -> list[int]:
+    """The integer fields of a data file of `width` comma-separated fields a line.
+
+    The fields come in file order, split and converted in one C-level pass
+    over the data lines.  Only if that pass fails does read_line(index,
+    line), the caller's per-line reader, run on each line in turn: it
+    raises at the first bad line, with that line's own message.
+    """
+    lines = list(_data_lines(lines))
+    if set(map(str.count, lines, repeat(","))) <= {width - 1}:
+        try:
+            return list(map(int, chain.from_iterable(map(str.split, lines, repeat(",")))))
+        except ValueError:
+            pass
+    return list(chain.from_iterable(map(read_line, count(), lines)))
 
 
 def _check_bits(bits: str, name: str = "bits") -> str:

@@ -15,7 +15,7 @@ import threading
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .codes import _data_lines, _int_field
+from .codes import _int_field, _int_fields
 from .errors import DomainError, HorizonError, InjectivityError
 from .streams import SetStream
 
@@ -186,13 +186,21 @@ def parse_sampler(spec: str) -> Sampler:
 
 def load_table_csv(path) -> list[int]:
     """Read `j,value` data lines (no header); rows must cover 0..len-1 in order."""
-    values = []
+
+    def bad_row(j: int) -> ValueError:
+        return ValueError(f"{path}: row {j} must be `{j},<value>`")
+
+    def read_line(j: int, line: str) -> tuple[int, int]:
+        row = line.split(",")
+        if len(row) != 2 or _int_field(row[0], line, "line") != j:
+            raise bad_row(j)
+        return j, _int_field(row[1], line, "line")
+
     with open(path) as fh:
-        for line in _data_lines(fh):
-            row, j = line.split(","), len(values)
-            if len(row) != 2 or _int_field(row[0], line, "line") != j:
-                raise ValueError(f"{path}: row {j} must be `{j},<value>`")
-            values.append(_int_field(row[1], line, "line"))
+        fields = _int_fields(fh, 2, read_line)
+    keys, values = fields[0::2], fields[1::2]
+    if keys != list(range(len(keys))):
+        raise bad_row(next(j for j, key in enumerate(keys) if key != j))
     return values
 
 

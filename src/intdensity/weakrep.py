@@ -17,15 +17,16 @@ concrete function family together with its universal evaluator.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, groupby
+from functools import cached_property, lru_cache
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from .codes import (
-    _data_lines, _is_bits, _int_field, cantor_pair, cantor_unpair, string_code, string_decode,
-    triple_code,
+    _data_lines, _int_field, _int_fields, _is_bits, cantor_pair, cantor_unpair, string_code,
+    string_decode, triple_code,
 )
 from .constructions import graph_set
 from .errors import HorizonError, InvalidTableError
@@ -40,35 +41,65 @@ class WeakRepTable:
     triples: frozenset[tuple[int, int, int]]
     horizon: int
 
+    @cached_property
+    def sorted_triples(self) -> tuple[tuple[int, int, int], ...]:
+        """The triples in increasing order, sorted once per table."""
+        return tuple(sorted(self.triples))
+
+    @classmethod
+    def _of_rows(cls, rows: list, horizon: int) -> "WeakRepTable":
+        """The table of a list of triples of naturals, which it sorts in place
+        to seed the sorted view: rows that arrive sorted cost one linear pass.
+        """
+        if horizon < 0:
+            raise ValueError("horizon must be a natural number")
+        table = cls(frozenset(rows), horizon)
+        rows.sort()
+        if len(rows) != len(table.triples):
+            rows = [row for row, _ in groupby(rows)]
+        object.__setattr__(table, "sorted_triples", tuple(rows))
+        return table
+
     @classmethod
     def from_triples(cls, triples, horizon: int) -> "WeakRepTable":
         rows = [(x, y, z) for x, y, z in triples]
-        parts = list(chain.from_iterable(rows))
-        kinds = set(map(type, parts))  # the rule of codes._check_natural: ints, not bools
-        if bool in kinds or not all(issubclass(k, int) for k in kinds) or min(parts or [0]) < 0:
-            raise ValueError("triple components must be naturals")
-        if horizon < 0:
-            raise ValueError("horizon must be a natural number")
-        return cls(triples=frozenset(rows), horizon=horizon)
+        _check_components(list(chain.from_iterable(rows)))
+        return cls._of_rows(rows, horizon)
 
     def codes(self) -> list[int]:
         """The triples as pair codes <x,<y,z>>, sorted."""
-        return sorted(triple_code(x, y, z) for x, y, z in self.triples)
+        return sorted(triple_code(x, y, z) for x, y, z in self.sorted_triples)
 
     def to_lines(self) -> str:
-        return "".join(f"{x},{y},{z}\n" for x, y, z in sorted(self.triples))
+        return "".join(f"{x},{y},{z}\n" for x, y, z in self.sorted_triples)
 
     @classmethod
     def from_lines(cls, lines, horizon: int = None) -> "WeakRepTable":
-        triples = []
-        for line in _data_lines(lines):
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise ValueError(f"table line {line!r} must be `x,y,z`")
-            triples.append(tuple(_int_field(f, line, "line") for f in fields))
+        """The table of a file of `x,y,z` lines in any order; a repeated line counts once.
+
+        The horizon defaults to the largest step.
+        """
+        fields = _int_fields(lines, 3, _table_line)
+        _check_components(fields)
         if horizon is None:
-            horizon = max((z for _, _, z in triples), default=0)
-        return cls.from_triples(triples, horizon)
+            horizon = max(fields[2::3], default=0)
+        it = iter(fields)
+        return cls._of_rows(list(zip(it, it, it)), horizon)
+
+
+def _check_components(parts: list) -> None:
+    """Triple components must be naturals: ints, not bools (the rule of codes._check_natural)."""
+    kinds = set(map(type, parts))
+    if bool in kinds or not all(issubclass(k, int) for k in kinds) or min(parts, default=0) < 0:
+        raise ValueError("triple components must be naturals")
+
+
+def _table_line(index: int, line: str) -> tuple[int, int, int]:
+    """One `x,y,z` line of a table file."""
+    fields = line.split(",")
+    if len(fields) != 3:
+        raise ValueError(f"table line {line!r} must be `x,y,z`")
+    return tuple(_int_field(f, line, "line") for f in fields)
 
 
 @dataclass(frozen=True)
@@ -105,7 +136,7 @@ def validate_weakrep(table: WeakRepTable) -> WeakRepReport:
     Every check reads the (x, y) runs of ascending steps, in (x, y) order.
     """
     horizon = table.horizon
-    runs = [list(run) for _, run in groupby(sorted(table.triples), lambda t: t[:2])]
+    runs = [list(run) for _, run in groupby(table.sorted_triples, itemgetter(0, 1))]
 
     representation = _passed("representation")
     late = next((t for run in runs if run[-1][2] > horizon for t in run if t[2] > horizon), None)
@@ -159,9 +190,13 @@ def eval_step(table: WeakRepTable, x: int, z: int) -> Optional[int]:
     if not report.ok:
         failed = next(b for b in report.bullets if not b.passed)
         raise InvalidTableError(f"{failed.name} fails: {failed.detail}")
-    for tx, ty, tz in table.triples:
-        if tx == x and tz == z and ty < z:
-            return ty
+    # A valid table witnesses x with one value y at most: its first row for x has it.
+    rows = table.sorted_triples
+    i = bisect_left(rows, (x,))
+    if i < len(rows) and rows[i][0] == x:
+        y = rows[i][1]
+        if y < z and (x, y, z) in table.triples:
+            return y
     return None
 
 
@@ -244,7 +279,7 @@ def table_of_program(registry: FamilyRegistry, index: int, horizon: int) -> Weak
     """
     if horizon < 0:
         raise ValueError("horizon must be a natural number")
-    triples = []
+    triples, values = [], []
     slowest = 0
     for x in range(horizon + 1):
         result = registry._run(index, x)
@@ -254,8 +289,10 @@ def table_of_program(registry: FamilyRegistry, index: int, horizon: int) -> Weak
         slowest = max(slowest, steps)
         if slowest > horizon:
             break
-        triples.extend((x, value, z) for z in range(slowest, horizon + 1))
-    return WeakRepTable.from_triples(triples, horizon)
+        values.append(value)
+        triples.extend(zip(repeat(x), repeat(value), range(slowest, horizon + 1)))
+    _check_components(values)  # inputs and steps are ints made here, in order
+    return WeakRepTable._of_rows(triples, horizon)
 
 
 def interleave_family(registry: FamilyRegistry) -> FamilyRegistry:

@@ -5,8 +5,9 @@ input files of FILES, and names them by relative path, so the paths its
 report echoes are the same in any checkout.  The cases cover every AC9
 invocation plus one for each input parser: values and codes files, guess,
 table, manifest and sigma files with blank and `#` lines, a failing CSV
-validation whose witness is a tuple, an unsorted `list:` spec and a `file:`
-spec with mixed whitespace.  The `dom` and `hits` cases also cover table
+validation whose witness is a tuple, a step-witness table in shuffled order
+with a repeated line, an unsorted `list:` spec and a `file:` spec with
+mixed whitespace.  The `dom` and `hits` cases also cover table
 and `swapblocks` samplers, q = 3, a CSV report and a run where every input
 is a hit.
 
@@ -32,6 +33,10 @@ FILES = {
     "trace-comments.txt": "# guesses\n\n1:10\n  # block 2\n2:1010\n\n",
     "table.txt": "0,2,3\n0,2,4\n0,2,5\n0,2,6\n",
     "bad-table.txt": "# input 0 has two values\n0,1,3\n0,2,3\n\n2,0,5\n",
+    "unsorted-table.txt": (
+        "# input 1 first\n1, 3 ,5\n\n0,1,3\n  0,1,2\n# a repeated line\n1,3,4\n"
+        "0 ,1, 5\n1,3,4\n  # input 0 at step 4\n0,1,4\n"
+    ),
     "manifest.txt": "identity\ndiverge\nconst:3\n",
     "manifest-comments.txt": "# programs\n\nidentity\n  # never halts\ndiverge\n\nconst:3\n",
     "sigma.txt": "1:1\ndefault:0\n",
@@ -143,6 +148,10 @@ CASES = {
     ]),
     "csv-weakrep-validate-bad": (1, [
         "--format", "csv", "weakrep", "validate", "--table-file", "bad-table.txt",
+    ]),
+    # Shuffled rows with spaces around fields; the repeated line counts once.
+    "weakrep-validate-unsorted": (0, [
+        "weakrep", "validate", "--table-file", "unsorted-table.txt",
     ]),
     "density-list-unsorted": (0, [
         "density", "--set", "list:5,1,1,3", "--checkpoints", "2,4,6",

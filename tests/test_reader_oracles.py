@@ -1,0 +1,184 @@
+"""Oracles for the bulk readers of integer data files and for the sorted view
+of step-witness tables.
+
+`codes._int_fields` converts every field of a data file in one pass and runs
+a caller's per-line reader only to name the first bad line.  The per-line
+loops it replaced are kept here verbatim apart from their names: the table
+reader of `WeakRepTable.from_lines` (three fields a line), the `j,value`
+reader of `samplers.load_table_csv` (two) and the values-file reader of
+`cli._read_values` (one).  On every input the library readers must give the
+same result, or a `ValueError` with the same text.
+
+`WeakRepTable.sorted_triples` is seeded by the constructors from the order
+the rows arrive in; it must equal `sorted(table.triples)` however the table
+was made.
+"""
+
+import io
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from intdensity import WeakRepTable, parse_manifest, table_of_program
+from intdensity.cli import _read_values
+from intdensity.codes import _data_lines, _int_field
+from intdensity.samplers import load_table_csv
+
+PROPERTY = settings(max_examples=300, deadline=None)
+
+
+def line_table(lines, horizon=None) -> WeakRepTable:
+    triples = []
+    for line in _data_lines(lines):
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ValueError(f"table line {line!r} must be `x,y,z`")
+        triples.append(tuple(_int_field(f, line, "line") for f in fields))
+    if horizon is None:
+        horizon = max((z for _, _, z in triples), default=0)
+    return WeakRepTable.from_triples(triples, horizon)
+
+
+def line_table_csv(path) -> list[int]:
+    values = []
+    with open(path) as fh:
+        for line in _data_lines(fh):
+            row, j = line.split(","), len(values)
+            if len(row) != 2 or _int_field(row[0], line, "line") != j:
+                raise ValueError(f"{path}: row {j} must be `{j},<value>`")
+            values.append(_int_field(row[1], line, "line"))
+    return values
+
+
+def line_values(path) -> list[int]:
+    with open(path) as fh:
+        return [_int_field(line, line, "line") for line in _data_lines(fh)]
+
+
+def outcome(fn, *args):
+    """The value, or the text of the ValueError."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+NOISE = ["", "   ", "\t", "# note", "  # 1,2,3", "#"]
+ODD_TOKENS = [
+    " 4 ", "+7", "1_000", "007", "-0", "-3", "\t2", "x", "", "1.5", "1 2", "_1", "1__0",
+    "0x1", "٣",
+]
+# Mostly naturals, so that whole files often parse.
+TOKENS = st.one_of(
+    st.integers(0, 1200).map(str), st.integers(0, 9).map(str), st.sampled_from(ODD_TOKENS)
+)
+
+
+@st.composite
+def data_files(draw, width):
+    """Data files of about `width` fields a line among blank and `#` lines.
+
+    Wrong field counts and bad tokens are drawn at random; at width 2 most
+    rows carry their own index as the key, some another one.
+    """
+    lines, rows = [], 0
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(NOISE)))
+            continue
+        count = draw(st.sampled_from([width] * 6 + [width - 1, width + 1]))
+        fields = draw(st.lists(TOKENS, min_size=count, max_size=count))
+        if width == 2 and fields and draw(st.integers(0, 3)):
+            fields[0] = str(rows)
+        rows += 1
+        lines.append(",".join(fields))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.fixture(scope="module")
+def data_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("data") / "data.txt"
+
+
+@PROPERTY
+@given(text=data_files(3), horizon=st.none() | st.integers(-1, 6))
+@example(text="", horizon=None)
+@example(text="# only a comment\n\n", horizon=3)
+@example(text="0, 1 ,+7\n1_000,0,7\n0,1,7\n", horizon=None)
+@example(text="0,1,2\n0,-1,2\n", horizon=None)
+@example(text="0,1,2\n0,1\n0,x,2\n", horizon=None)
+@example(text="0,1,x\n0,1\n", horizon=None)
+@example(text="0,1,2\n", horizon=-1)
+def test_table_lines_match_the_per_line_reader(text, horizon):
+    expected = outcome(line_table, io.StringIO(text), horizon)
+    table = outcome(WeakRepTable.from_lines, io.StringIO(text), horizon)
+    assert table == expected
+    if isinstance(table, WeakRepTable):
+        assert table.horizon == expected.horizon
+        assert table.sorted_triples == tuple(sorted(expected.triples))
+
+
+@PROPERTY
+@given(text=data_files(2))
+@example(text="")
+@example(text="0,5\n\n# next\n1, 7\n")
+@example(text="0,5\n2,7\n")
+@example(text="1,x\n")
+@example(text="0,1\n1\n")
+@example(text="0,-4\n1,+7\n2,1_000\n")
+def test_table_csv_matches_the_per_line_reader(text, data_path):
+    data_path.write_text(text)
+    assert outcome(load_table_csv, data_path) == outcome(line_table_csv, data_path)
+
+
+@PROPERTY
+@given(text=data_files(1))
+@example(text="")
+@example(text=" 3 \n# c\n\n+7\n1_000\n-2\n")
+@example(text="1,2\n")
+@example(text="1\nz\n")
+def test_values_file_matches_the_per_line_reader(text, data_path):
+    data_path.write_text(text)
+    assert outcome(_read_values, None, data_path) == outcome(line_values, data_path)
+
+
+# -- the sorted view ---------------------------------------------------------
+
+
+@PROPERTY
+@given(
+    triples=st.lists(st.tuples(*[st.integers(0, 5)] * 3), max_size=30),
+    horizon=st.integers(0, 6),
+    seed=st.integers(0, 2**32),
+)
+def test_sorted_view_of_every_constructor(triples, horizon, seed):
+    rng = random.Random(seed)
+    shuffled = rng.sample(triples, len(triples))
+    repeated = shuffled + rng.choices(triples, k=len(triples) // 2)
+    rng.shuffle(repeated)
+
+    def lines(rows):
+        return [f"{x},{y},{z}\n" for x, y, z in rows]
+
+    bare = WeakRepTable(frozenset(triples), horizon)
+    tables = [
+        WeakRepTable.from_lines(lines(sorted(triples)), horizon),
+        WeakRepTable.from_lines(lines(shuffled), horizon),
+        WeakRepTable.from_lines(lines(repeated), horizon),
+        WeakRepTable.from_triples(repeated, horizon),
+        bare,
+    ]
+    for table in tables:
+        assert table == bare and hash(table) == hash(bare)
+        assert table.sorted_triples == tuple(sorted(table.triples))
+        assert table.to_lines() == "".join(lines(sorted(set(triples))))
+
+
+@pytest.mark.parametrize("spec", ["identity", "double", "ramp", "slowid:3", "zeroonly", "diverge"])
+@pytest.mark.parametrize("horizon", [0, 1, 5])
+def test_sorted_view_of_program_tables(spec, horizon):
+    table = table_of_program(parse_manifest([spec], 4), 0, horizon)
+    assert table.sorted_triples == tuple(sorted(table.triples))
+    assert table == WeakRepTable.from_triples(table.triples, horizon)

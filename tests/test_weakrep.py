@@ -187,6 +187,12 @@ class TestTableOfProgram:
         # Inputs 0..6 are each run once; 7 steps at x = 6 pass the horizon and stop the scan.
         assert calls == list(range(7))
 
+    @pytest.mark.parametrize("value", [-1, 1.5, True, "3"])
+    def test_values_must_be_naturals(self, value):
+        registry = FamilyRegistry((Program("odd", lambda x: (value, 1)),), 64)
+        with pytest.raises(ValueError, match="^triple components must be naturals$"):
+            table_of_program(registry, 0, 3)
+
     def test_divergent_program_gives_empty_table(self):
         registry = parse_manifest(["diverge"], 64)
         assert table_of_program(registry, 0, 8).triples == frozenset()

@@ -1,11 +1,12 @@
 """Property oracles for the step-witness validator and the query-string bound.
 
-`oracle_validate_weakrep` and `oracle_p_bound` are the definition-level
-versions, kept verbatim apart from their names and the cache: the
-validator scans the horizon after every triple and builds the full range
-of inputs, and the bound looks up every string of length below
-5*log2(n).  The library versions must agree with them on every report
-bullet, every value, and every exception's type and message.
+`oracle_validate_weakrep`, `scan_eval_step` and `oracle_p_bound` are the
+definition-level versions, kept verbatim apart from their names and the
+cache: the validator scans the horizon after every triple and builds the
+full range of inputs, `eval_step` scans every triple, and the bound looks
+up every string of length below 5*log2(n).  The library versions must
+agree with them on every report bullet, every value, and every
+exception's type and message.
 """
 
 from itertools import product
@@ -15,9 +16,12 @@ from hypothesis import strategies as st
 
 from intdensity import (
     FamilyRegistry,
+    HorizonError,
+    InvalidTableError,
     SigmaMap,
     WeakRepTable,
     cantor_pair,
+    eval_step,
     p_bound,
     parse_manifest,
     validate_weakrep,
@@ -85,6 +89,20 @@ def oracle_validate_weakrep(table: WeakRepTable) -> WeakRepReport:
             )
 
     return WeakRepReport((representation, consistency, monotonicity, downward))
+
+
+def scan_eval_step(table: WeakRepTable, x: int, z: int):
+    """The value to which x converges by step z, or None if it has not yet."""
+    if z > table.horizon:
+        raise HorizonError(f"step {z} exceeds table horizon {table.horizon}")
+    report = validate_weakrep(table)
+    if not report.ok:
+        failed = next(b for b in report.bullets if not b.passed)
+        raise InvalidTableError(f"{failed.name} fails: {failed.detail}")
+    for tx, ty, tz in table.triples:
+        if tx == x and tz == z and ty < z:
+            return ty
+    return None
 
 
 def oracle_p_bound(registry: FamilyRegistry, sigma_map: SigmaMap, values, n: int) -> int:
@@ -167,6 +185,23 @@ def mutants(draw):
 @given(table=st.one_of(random_tables(), valid_tables(), mutants()))
 def test_validator_matches_oracle(table):
     assert validate_weakrep(table).bullets == oracle_validate_weakrep(table).bullets
+
+
+@PROPERTY
+@given(table=st.one_of(random_tables(), valid_tables(), mutants()), data=st.data())
+def test_eval_step_matches_scan(table, data):
+    for _ in range(4):
+        x = data.draw(st.integers(0, 6))
+        z = data.draw(st.integers(0, table.horizon + 2))
+        assert step_outcome(eval_step, table, x, z) == step_outcome(scan_eval_step, table, x, z)
+
+
+def step_outcome(fn, *args):
+    """The value, or the table error's type and message."""
+    try:
+        return fn(*args)
+    except (HorizonError, InvalidTableError) as exc:
+        return type(exc), str(exc)
 
 
 # -- query-string bounds -----------------------------------------------------
