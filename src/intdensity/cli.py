@@ -39,6 +39,11 @@ from .streams import SetStream, density_profile, preimage_hits
 
 SCHEMA_VERSION = 1
 
+# `wct` builds a table of nmax! values: 10! = 3,628,800 of them take about
+# 2.2 s and 245 MB (CPython 3.11, one core), and 11! would take eleven times
+# that, so the budget is 10! entries, checked before anything is built.
+_WCT_MAX_NMAX = 10
+
 
 def _ints(text: str) -> list[int]:
     return [_int_field(tok, text, "list") for tok in text.split(",") if tok != ""]
@@ -141,6 +146,11 @@ def _run_introreduce(args):
 
 
 def _run_wct(args):
+    if args.nmax > _WCT_MAX_NMAX:
+        raise ValueError(
+            f"--nmax {args.nmax} exceeds the budget of {factorial(_WCT_MAX_NMAX)} table "
+            f"entries (n! at --nmax {_WCT_MAX_NMAX})"
+        )
     stream = SetStream.from_spec(args.set, args.horizon)
     truth = {n: cons.wct_target(stream, n) for n in range(1, args.nmax + 1)}
     if args.oracle_trace:

@@ -26,9 +26,16 @@ def _is_bits(text) -> bool:
     return isinstance(text, str) and text.isascii() and not text.encode().translate(None, b"01")
 
 
-def _data_lines(lines):
-    """The stripped lines of a data file that are neither blank nor `#` comments."""
-    return (line for line in map(str.strip, lines) if line and not line.startswith("#"))
+def _data_lines(lines) -> list[str]:
+    """The stripped lines of a data file that are neither blank nor `#` comments.
+
+    Blank lines are dropped in one C-level pass, and the per-line comment
+    test runs only when some kept line holds a `#` at all.
+    """
+    kept = list(filter(None, map(str.strip, lines)))
+    if "#" in "".join(kept):
+        kept = [line for line in kept if not line.startswith("#")]
+    return kept
 
 
 def _int_field(text: str, source: str, kind: str = "spec") -> int:
@@ -47,7 +54,7 @@ def _int_fields(lines, width: int, read_line) -> list[int]:
     line), the caller's per-line reader, run on each line in turn: it
     raises at the first bad line, with that line's own message.
     """
-    lines = list(_data_lines(lines))
+    lines = _data_lines(lines)
     if set(map(str.count, lines, repeat(","))) <= {width - 1}:
         try:
             return list(map(int, chain.from_iterable(map(str.split, lines, repeat(",")))))

@@ -25,7 +25,7 @@ from .codes import (
 )
 from .errors import InsufficientElementsError, PrefixInconsistencyError
 from .samplers import Sampler, eval_sampler, image_interval
-from .streams import _CHAR_BITS, SetStream, principal_function
+from .streams import _CHAR_BITS, SetStream, _Buffered, principal_function
 
 # A full tree of height h holds 2^(h+1) - 1 strings, and time and memory
 # double with every level: height 20 takes about 1.5 s and 290 MB
@@ -243,7 +243,13 @@ def build_wct_injection(guesses: Mapping[int, str], max_n: int) -> WctInjection:
             raise ValueError(f"guess for block {n} is not a bit string")
         low, high = factorial(n - 1) if n > 1 else 0, factorial(n)
         bits = guess.encode("ascii").translate(_CHAR_BITS)
-        blocks.append((low, high, bits, list(islice(compress(range(len(bits)), bits), low, high))))
+        # The ones are listed from the low-th one on, found by a chunk-local select.
+        first = _Buffered(bits).kth_one(low, len(bits))
+        preferred = []
+        if first is not None:
+            ones = compress(range(first, len(bits)), memoryview(bits)[first:])
+            preferred = list(islice(ones, high - low))
+        blocks.append((low, high, bits, preferred))
 
     # A value is a ones position or the least unassigned value, which is
     # below max_n! because fewer than max_n! values are ever assigned.

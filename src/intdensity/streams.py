@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress, islice
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .codes import _is_bits, _int_field
@@ -99,8 +100,8 @@ class _Backend:
     def members_below(self, n: int) -> list[int]:
         return [i for i in range(n) if self.bit(i)]
 
-    def gather(self, indices: Sequence[int]) -> bytes:
-        """The bits at the given in-horizon indices, as 0/1 bytes."""
+    def gather(self, indices: Sequence[int], bound: int) -> bytes:
+        """The bits at the given in-horizon indices, all below bound, as 0/1 bytes."""
         return bytes(map(self.bit, indices))
 
     def kth_one(self, k: int, bound: int) -> Optional[int]:
@@ -185,20 +186,25 @@ class _Buffered(_Backend):
         self._ensure(n)
         return self._buf[:n].translate(_BIT_CHARS).decode("ascii")
 
-    def gather(self, indices):
-        self._ensure(max(indices, default=-1) + 1)
-        return bytes(map(self._buf.__getitem__, indices))
+    def gather(self, indices, bound):
+        self._ensure(bound)
+        if len(indices) < 2:  # itemgetter needs an index, and returns one bit bare
+            return bytes(map(self._buf.__getitem__, indices))
+        return bytes(itemgetter(*indices)(self._buf))
 
     def kth_one(self, k, bound):
-        # Grow one chunk at a time until the k-th one is present, so the
-        # buffer ends at most one chunk past it, whatever the bound.
+        # Count whole chunks in C, filling one chunk at a time, and select
+        # only inside the chunk that holds the k-th one: the buffer ends at
+        # most one chunk past it, whatever the bound.
         buf = self._buf
-        ones = buf.count(1, 0, bound)
-        while ones <= k and len(buf) < bound:
-            start = len(buf)
-            self._ensure(min(start + _CHUNK, bound))
-            ones += buf.count(1, start, bound)
-        return next(islice(compress(range(bound), buf), k, None), None)
+        for start in range(0, bound, _CHUNK):
+            end = min(start + _CHUNK, bound)
+            self._ensure(end)
+            ones = buf.count(1, start, end)
+            if ones > k:
+                return next(islice(compress(range(start, end), buf[start:end]), k, None))
+            k -= ones
+        return None
 
 
 class _SeededBits(_Buffered):
@@ -478,9 +484,10 @@ def preimage_hits(
     if len(values) != last:
         raise ValueError(f"need the {last} values below the last checkpoint, got {len(values)}")
     horizon = stream.horizon
-    if values and (min(values) < 0 or max(values) >= horizon):
+    top = max(values, default=-1)
+    if top >= horizon or min(values, default=0) < 0:
         raise _horizon_error(next(v for v in values if not 0 <= v < horizon), horizon)
-    bits = stream._backend.gather(values)
+    bits = stream._backend.gather(values, top + 1)
     counts, hits, start = [], 0, 0
     for n in checkpoints:
         hits += bits.count(1, start, n)

@@ -1,6 +1,7 @@
 """CLI: payloads, exit codes, determinism, both output formats."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -269,6 +270,35 @@ class TestRefusedInputs:
         assert code == 0
         assert report["results"] == {"rows": []}
         assert report["checks"] == []
+
+    def test_wct_past_the_table_budget_is_refused_before_allocating(self, capsys):
+        argv = ["wct", "--set", "seed:42", "--horizon", "1000000000000", "--nmax", "11",
+                "--oracle-trace"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --nmax 11 exceeds the budget of 3628800 table entries (n! at --nmax 10)\n"
+        )
+
+    def test_wct_budget_is_checked_before_the_stream_is_built(self, monkeypatch):
+        # --nmax 10 passes the check and reaches the stream; --nmax 11 does not.
+        def refuse(*args):
+            raise LookupError("stream built")
+
+        monkeypatch.setattr(cli.SetStream, "from_spec", refuse)
+        for nmax, reached in [("10", True), ("11", False)]:
+            argv = ["wct", "--set", "seed:42", "--nmax", nmax, "--oracle-trace"]
+            args = cli._build_parser().parse_args(argv)
+            with pytest.raises((LookupError, ValueError)) as err:
+                args.handler(args)
+            assert (str(err.value) == "stream built") is reached
 
     def test_largest_printable_set_code_still_prints(self, capsys):
         code, report = run_json(capsys, "codes", "setcode", "--members", "14000")

@@ -6,13 +6,16 @@ prefix codes; `build_wct_injection` meets the 1 - 1/n bound at n! whenever
 the guess for block n is true, whatever the other blocks guess (that it is
 total and injective for any guesses is checked in
 `test_injectivity_properties.py`), and its table equals the one built
-input by input with a set of assigned values.
+input by input with a set of assigned values, also for guesses that run
+over several of the 4,096-bit chunks in which it looks for a block's first
+preferred value.
 """
 
+import random
 from fractions import Fraction
 from math import factorial
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intdensity import (
@@ -34,6 +37,7 @@ from intdensity import (
     triple_decode,
     wct_target,
 )
+from intdensity.streams import _CHUNK
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -152,3 +156,49 @@ def test_wct_table_matches_the_set_built_table(case, seed, data):
     injection = build_wct_injection(guesses, max_n)
     assert type(injection.table) is tuple
     assert injection.table == set_built_wct_table(guesses, max_n)
+
+
+@st.composite
+def long_guess_maps(draw):
+    """(max_n, guesses) at max_n 6 or 7, from runs of zeros and of random bits.
+
+    Zero runs of up to three chunks move some block's low-th one past the
+    first chunk, and a guess can run past two chunks.  Some blocks take a
+    prefix of one shared source, so that whole blocks keep their preferred
+    values, and the others collide with them.
+    """
+    max_n = draw(st.integers(6, 7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def runs():
+        parts = []
+        for _ in range(draw(st.integers(1, 4))):
+            parts.append("0" * draw(st.integers(0, 3 * _CHUNK)))
+            parts.append(format(rng.getrandbits(4 * _CHUNK), "b")[: draw(st.integers(0, 3 * _CHUNK))])
+        return "".join(parts)
+
+    source = runs()
+    guesses = {}
+    for n in range(1, max_n + 1):
+        if draw(st.booleans(), label=f"block {n} shares the source"):
+            guesses[n] = source[: draw(st.integers(0, len(source)))]
+        else:
+            guesses[n] = runs()
+    return max_n, guesses
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=long_guess_maps())
+@example(case=(6, {n: "01" * (3 * _CHUNK) if n % 2 else "0" * _CHUNK + "1" * 800 for n in range(1, 7)}))
+def test_wct_table_matches_the_set_built_table_across_chunks(case):
+    max_n, guesses = case
+    injection = build_wct_injection(guesses, max_n)
+    assert type(injection.table) is tuple
+    assert injection.table == set_built_wct_table(guesses, max_n)
+
+
+def test_a_block_can_prefer_values_past_the_first_chunk():
+    guess = "0" * 5000 + "1" * 6000  # block 7 prefers its ones 720..5039
+    assert guess.index("1") + factorial(6) > _CHUNK and len(guess) > 2 * _CHUNK
+    guesses = {n: guess for n in range(1, 8)}
+    assert build_wct_injection(guesses, 7).table == set_built_wct_table(guesses, 7)

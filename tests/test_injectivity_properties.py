@@ -3,12 +3,17 @@
 Each sampler is read back through `Sampler.from_function`, which logs
 every value and raises InjectivityError on a repeat, and the image of a
 random domain prefix must have exactly as many elements as the prefix.
+
+`Sampler.from_table` proves a strictly increasing table injective by one
+scan for a descent; the check with a set of every value that it replaced
+is kept here, and both must accept and refuse the same tables alike.
 """
 
+import random
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intdensity import (
@@ -85,3 +90,62 @@ def test_hand_built_wct_injection_with_a_repeat_is_rejected(max_n, data):
     injection = WctInjection(max_n, tuple(table), {})
     with pytest.raises(InjectivityError, match=r"^table repeats value \d+$"):
         injection.as_sampler()
+
+
+def set_checked_table(values):
+    """(kind, is_perm) of a table by the set-based check of `from_table`, verbatim."""
+    table = tuple(values)
+    if min(table, default=0) < 0:
+        raise ValueError("table values must be naturals")
+    if len(set(table)) < len(table):
+        seen: set[int] = set()
+        for v in table:
+            if v in seen:
+                raise InjectivityError(f"table repeats value {v}")
+            seen.add(v)
+    # n distinct naturals whose maximum is n - 1 are exactly 0..n-1.
+    is_perm = max(table, default=-1) == len(table) - 1
+    return "permutation" if is_perm else "injection", is_perm
+
+
+def table_outcome(check, table):
+    try:
+        return check(table)
+    except (ValueError, InjectivityError) as exc:
+        return type(exc), str(exc)
+
+
+def library_checked_table(table):
+    kind = Sampler.from_table(table).kind
+    try:
+        Sampler.from_table(table, domain_bound=len(table) + 1)  # needs a permutation
+    except ValueError:
+        return kind, False
+    return kind, True
+
+
+@st.composite
+def checked_tables(draw):
+    """Increasing, shuffled, near-sorted with one repeat, negative or empty tables."""
+    values = sorted(draw(st.sets(st.integers(-3, 60), max_size=40)))
+    shape = draw(st.sampled_from(["increasing", "shuffled", "repeat", "permutation"]))
+    if shape == "permutation":
+        values = list(range(len(values)))
+    if shape == "shuffled":
+        random.Random(draw(st.integers(0, 2**32))).shuffle(values)
+    if shape == "repeat" and values:
+        i = draw(st.integers(0, len(values) - 1))
+        values.insert(draw(st.integers(i + 1, len(values))), values[i])
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=checked_tables())
+@example(table=[])
+@example(table=[0, 1, 2])
+@example(table=[-1, 0, 4])
+@example(table=[0, 5, 5, 9])
+@example(table=[3, 1, 2, 2, 1])
+@example(table=[4, -1, 4])
+def test_from_table_checks_match_the_set_based_check(table):
+    assert table_outcome(library_checked_table, table) == table_outcome(set_checked_table, table)

@@ -9,6 +9,10 @@ reader of `samplers.load_table_csv` (two) and the values-file reader of
 `cli._read_values` (one).  On every input the library readers must give the
 same result, or a `ValueError` with the same text.
 
+`codes._data_lines` drops blank lines in one C-level pass and tests each
+line for a leading `#` only when the text holds one; the per-line generator
+it replaced is kept here too.
+
 `WeakRepTable.sorted_triples` is seeded by the constructors from the order
 the rows arrive in; it must equal `sorted(table.triples)` however the table
 was made.
@@ -55,6 +59,10 @@ def line_table_csv(path) -> list[int]:
 def line_values(path) -> list[int]:
     with open(path) as fh:
         return [_int_field(line, line, "line") for line in _data_lines(fh)]
+
+
+def generator_data_lines(lines):
+    return (line for line in map(str.strip, lines) if line and not line.startswith("#"))
 
 
 def outcome(fn, *args):
@@ -142,6 +150,25 @@ def test_table_csv_matches_the_per_line_reader(text, data_path):
 def test_values_file_matches_the_per_line_reader(text, data_path):
     data_path.write_text(text)
     assert outcome(_read_values, None, data_path) == outcome(line_values, data_path)
+
+
+# Blank lines, `#` lines, indented `#` lines and a `#` in mid-line.
+LINE_PIECES = ["", "   ", "\t", "#", "# note", "  # 1,2,3", "\t#x", "0,1,2", "0,1 # 2", "a#b", " 7 "]
+
+
+@PROPERTY
+@given(
+    lines=st.lists(st.sampled_from(LINE_PIECES) | st.text(" \t\r#,01x", max_size=6), max_size=12),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    last=st.booleans(),
+)
+@example(lines=["0,1", "2"], newline="\n", last=True)
+@example(lines=["  # c", "", "0 # 1"], newline="\n", last=False)
+def test_data_lines_match_the_per_line_generator(lines, newline, last):
+    text = newline.join(lines) + (newline if last else "")
+    expected = list(generator_data_lines(io.StringIO(text)))
+    assert _data_lines(io.StringIO(text)) == expected
+    assert _data_lines(lines) == list(generator_data_lines(lines))
 
 
 # -- the sorted view ---------------------------------------------------------

@@ -5,7 +5,8 @@ kept here: the per-child `startswith` scan of `build_prefix_tree`, the
 tuple-membership closure check of `PrefixTree`, the per-bit join of
 `SetStream.prefix`, the zero-padded `string_decode`, the per-character
 bit-string check, the membership closures of `graph_set` and `image_set`,
-the `find` loop of the buffered `kth_one`, the per-character membership
+the `find` loop of the buffered `kth_one` and its select from bit 0 (it
+now counts whole chunks and selects inside one), the per-character membership
 rule of `prefix_set`, the per-index `splitmix64` definition of seeded
 bits, per-checkpoint `preimage_partial_density` for `preimage_hits`, and
 the per-row `dominating_adversary` and `image_interval` calls that
@@ -15,6 +16,7 @@ the per-row `dominating_adversary` and `image_interval` calls that
 import random
 from argparse import Namespace
 from bisect import bisect_left
+from itertools import compress, islice
 from unittest import mock
 
 import pytest
@@ -208,6 +210,11 @@ def find_loop_kth_one(buf, k, bound):
     return pos
 
 
+def select_from_bit_zero(buf, k, bound):
+    """Position of the k-th one below bound by one select over [0, bound)."""
+    return next(islice(compress(range(bound), buf), k, None), None)
+
+
 def per_character_prefix_member(stream, code):
     """Whether the decoded code agrees with the stream bit by bit."""
     sigma = string_decode(code)
@@ -349,6 +356,29 @@ def test_buffered_kth_one_matches_the_find_loop(bits, data):
     assert _Buffered(buf).kth_one(k, bound) == find_loop_kth_one(buf, k, bound)
 
 
+@pytest.fixture(scope="module")
+def bits_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("bits") / "bits.txt"
+
+
+@pytest.mark.parametrize("length", [_CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 37, 3 * _CHUNK - 5])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32), run=st.integers(0, 2 * _CHUNK), data=st.data())
+def test_file_kth_one_at_the_last_one_and_past_it(bits_path, length, seed, run, data):
+    # Random bits after a zero run that may cover whole chunks.
+    rng = random.Random(seed)
+    bits = [0] * min(run, length) + [rng.getrandbits(1) for _ in range(length - run)]
+    bits_path.write_text("".join(map(str, bits)))
+    stream = SetStream.from_spec(f"file:{bits_path}")
+    buf, ones = bytearray(bits), sum(bits)
+    for k in [ones - 1, data.draw(st.integers(0, ones - 1))] if ones else []:
+        expected = find_loop_kth_one(buf, k, length)
+        assert expected == select_from_bit_zero(buf, k, length)
+        assert principal_function(stream, k) == expected
+    with pytest.raises(InsufficientElementsError):
+        principal_function(stream, ones)
+
+
 @PROPERTY
 @given(seed=st.integers(0, 2**64 - 1), num=st.integers(0, 4), data=st.data())
 def test_seeded_kth_one_matches_the_find_loop(seed, num, data):
@@ -471,6 +501,21 @@ def test_preimage_hits_refuses_bad_arguments():
     with pytest.raises(ValueError, match="need the 3 values below the last checkpoint, got 2"):
         preimage_hits(stream, [0, 1], [1, 3])
     assert preimage_hits(stream, [0, 1, 2, 4], [1, 4]) == [1, 3]
+
+
+@pytest.mark.parametrize("spec", ["seed:3", "seed:7:p=2/5", "list:1,4"])
+def test_preimage_hits_on_no_one_and_two_values(spec):
+    # The bulk gather reads two or more values at once; fewer take their own path.
+    bits = [int(b) for b in SetStream.from_spec(spec, 8).prefix(8)]
+    assert preimage_hits(SetStream.from_spec(spec, 8), [], []) == []
+    for v in range(8):
+        assert preimage_hits(SetStream.from_spec(spec, 8), [v], [1]) == [bits[v]]
+        pair = [v, 7 - v]
+        assert preimage_hits(SetStream.from_spec(spec, 8), pair, [1, 2]) == [
+            bits[v], bits[v] + bits[7 - v]
+        ]
+    with pytest.raises(HorizonError, match=r"^index 8 outside"):
+        preimage_hits(SetStream.from_spec(spec, 8), [8], [1])
 
 
 # -- the adversary commands: dom and hit_indices -------------------------------
