@@ -16,16 +16,16 @@ from __future__ import annotations
 import io
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from math import factorial
 from typing import Mapping, Sequence
 
 from .codes import (
     _data_lines, _int_field, _is_bits, cantor_pair, cantor_unpair, string_code, string_decode
 )
-from .errors import InsufficientElementsError, PrefixInconsistencyError
+from .errors import InjectivityError, InsufficientElementsError, PrefixInconsistencyError
 from .samplers import Sampler, eval_sampler, image_interval
-from .streams import _CHAR_BITS, SetStream, _Buffered, principal_function
+from .streams import _CHAR_BITS, SetStream, _Buffered, _horizon_error, principal_function
 
 # A full tree of height h holds 2^(h+1) - 1 strings, and time and memory
 # double with every level: height 20 takes about 1.5 s and 290 MB
@@ -234,47 +234,103 @@ def build_wct_injection(guesses: Mapping[int, str], max_n: int) -> WctInjection:
     was already used, the least value not yet assigned is taken instead,
     so the result is total and injective regardless of the guesses.
     """
+    table = _wct_table(_wct_blocks(guesses, max_n))
+    return WctInjection(max_n=max_n, table=table, guesses=dict(guesses))
+
+
+def _free(assigned: bytearray, first: int, last: int) -> bool:
+    """Whether no value in [first, last) is assigned yet."""
+    return assigned.find(1, first, last) < 0
+
+
+def _wct_blocks(guesses: Mapping[int, str], max_n: int) -> list[tuple]:
+    """The injection of `build_wct_injection`, block by block, proved injective.
+
+    Block n is (mask, first, last, values) and covers inputs [(n-1)!, n!).
+    Where the guess for block n has its n! - (n-1)! ones from its (n-1)!-th
+    one on, and no value in their range [first, last) is taken yet, the
+    block's values are the ones of the guess's 0/1 bytes `mask` in that
+    range, and `values` is None.  Otherwise `values` lists them, and
+    [first, last) is their least and greatest value plus one.
+    """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    blocks = []  # (low, high, 0/1 bytes of the guess, its ones low..high-1)
+    masks = []
     for n in range(1, max_n + 1):
         guess = guesses[n]
         if not _is_bits(guess):
             raise ValueError(f"guess for block {n} is not a bit string")
-        low, high = factorial(n - 1) if n > 1 else 0, factorial(n)
-        bits = guess.encode("ascii").translate(_CHAR_BITS)
-        # The ones are listed from the low-th one on, found by a chunk-local select.
-        first = _Buffered(bits).kth_one(low, len(bits))
-        preferred = []
-        if first is not None:
-            ones = compress(range(first, len(bits)), memoryview(bits)[first:])
-            preferred = list(islice(ones, high - low))
-        blocks.append((low, high, bits, preferred))
+        masks.append(guess.encode("ascii").translate(_CHAR_BITS))
 
     # A value is a ones position or the least unassigned value, which is
     # below max_n! because fewer than max_n! values are ever assigned.
-    size = max([factorial(max_n)] + [len(bits) for _, _, bits, _ in blocks])
+    size = max([factorial(max_n)] + [len(mask) for mask in masks])
     assigned = bytearray(size)
-    table: list[int] = []
+    blocks = []
     next_free = 0
-    for low, high, bits, preferred in blocks:
-        if len(preferred) == high - low:
-            first, last = preferred[0], preferred[-1] + 1
-            if assigned.find(1, first, last) < 0:
-                # Nothing in [first, last) is assigned yet, and the guess has
-                # ones there exactly at the preferred values: take them all.
-                assigned[first:last] = bits[first:last]
-                table += preferred
-                continue
+    for n, mask in enumerate(masks, 1):
+        low, high = factorial(n - 1) if n > 1 else 0, factorial(n)
+        # The block's first and last preferred values, by chunk-local selects.
+        ones = _Buffered(mask)
+        first = ones.kth_one(low, len(mask))
+        end = None if first is None else ones.kth_one(high - 1, len(mask))
+        if end is not None and _free(assigned, first, end + 1):
+            assigned[first : end + 1] = mask[first : end + 1]
+            blocks.append((mask, first, end + 1, None))
+            continue
+        preferred = []
+        if first is not None:
+            ones_on = compress(range(first, len(mask)), memoryview(mask)[first:])
+            preferred = list(islice(ones_on, high - low))
+        values = []
         for value in preferred + [None] * (high - low - len(preferred)):
             if value is None or assigned[value]:
                 value = next_free = assigned.index(0, next_free)
             assigned[value] = 1
-            table.append(value)
+            values.append(value)
+        blocks.append((None, min(values), max(values) + 1, values))
 
-    return WctInjection(
-        max_n=max_n, table=tuple(table), guesses=dict(guesses)
-    )
+    # Each value was unassigned when it was taken, so the values are distinct
+    # exactly when max_n! of them are marked.
+    distinct = assigned.count(1)
+    if distinct != factorial(max_n):
+        raise InjectivityError(
+            f"the wct injection takes {distinct} distinct values on {factorial(max_n)} inputs"
+        )
+    return blocks
+
+
+def _wct_table(blocks: Sequence[tuple]) -> tuple[int, ...]:
+    """The values of the injection on [0, max_n!), in input order."""
+    return tuple(chain.from_iterable(
+        compress(range(first, last), memoryview(mask)[first:last]) if values is None else values
+        for mask, first, last, values in blocks
+    ))
+
+
+def _wct_hits(stream: SetStream, blocks: Sequence[tuple]) -> list[int]:
+    """For each block n, the number of j < n! whose value is in the set.
+
+    Equal to `preimage_hits(stream, _wct_table(blocks), checkpoints)` at the
+    checkpoints 1!, ..., max_n!, with the same HorizonError for the first
+    value in input order outside the horizon.  A block that is a range of
+    the guess's ones is counted with `count_masked`, without listing them.
+    """
+    horizon = stream.horizon
+    for mask, first, last, values in blocks:
+        if last > horizon:
+            if values is None:
+                raise _horizon_error(mask.find(1, max(first, horizon), last), horizon)
+            raise _horizon_error(next(v for v in values if v >= horizon), horizon)
+    backend = stream._backend
+    counts, hits = [], 0
+    for mask, first, last, values in blocks:
+        if values is None:
+            hits += backend.count_masked(mask, first, last)
+        else:
+            hits += backend.gather(values, last).count(1)
+        counts.append(hits)
+    return counts
 
 
 def load_guess_lines(lines) -> dict[int, str]:

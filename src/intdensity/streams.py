@@ -104,6 +104,10 @@ class _Backend:
         """The bits at the given in-horizon indices, all below bound, as 0/1 bytes."""
         return bytes(map(self.bit, indices))
 
+    def count_masked(self, mask: bytes, first: int, last: int) -> int:
+        """The members i in [first, last) with mask[i] == 1, counted; last is in-horizon."""
+        return self.gather(list(compress(range(first, last), mask[first:last])), last).count(1)
+
     def kth_one(self, k: int, bound: int) -> Optional[int]:
         found = 0
         for i in range(bound):
@@ -192,6 +196,14 @@ class _Buffered(_Backend):
             return bytes(map(self._buf.__getitem__, indices))
         return bytes(itemgetter(*indices)(self._buf))
 
+    def count_masked(self, mask, first, last):
+        # One byte per bit on both sides, so an AND of the two slices read
+        # as ints leaves one set bit per member under the mask.
+        self._ensure(last)
+        both = int.from_bytes(mask[first:last], "little")
+        both &= int.from_bytes(self._buf[first:last], "little")
+        return both.bit_count()
+
     def kth_one(self, k, bound):
         # Count whole chunks in C, filling one chunk at a time, and select
         # only inside the chunk that holds the k-th one: the buffer ends at
@@ -222,28 +234,53 @@ class _SeededBits(_Buffered):
         self._seed = seed
         self._num = num
         self._den = den
+        self._constants = None  # lane constants of a whole step, made by the first fill
 
     def _fill(self, upto):
         seed, num, den = self._seed, self._num, self._den
         # For den = 2^d <= 2^64, v mod den < num iff bit d of
-        # (den - 1 - v mod den) + num is set: one add and one shift per step.
+        # (den - 1 - v mod den) + num is set.  For any other den <= 2^63,
+        # with m = floor(2^64 / den), (v * m) >> 64 is v // den or one less,
+        # so r = v - ((v * m) >> 64) * den lies in [0, 2 den), and v mod den
+        # < num iff [r < num] + [r >= den] - [r >= den + num] is 1; each
+        # bracket is the carry into bit 64 of one sum.  A larger den takes
+        # `%` per lane.
         power = den & (den - 1) == 0 and den <= 1 << 64
-        shift = den.bit_length() - 1
-        steps, ones, low = _lanes()
+        reciprocal = not power and den <= 1 << 63
+        if self._constants is None:
+            steps, ones, low = _lanes()
+            if power:
+                extra = ((den - 1) * ones, num * ones)
+            elif reciprocal:
+                extra = (num * ones, ((1 << 64) - den) * ones,
+                         ((1 << 64) - den - num) * ones, ones << 64)
+            else:
+                extra = ()
+            self._constants = (steps, ones, low) + extra
+        shift, recip = den.bit_length() - 1, (1 << 64) // den
         start = len(self._buf)
         while start < upto:
             n = min(_CHUNK, upto - start)
+            lanes = self._constants
             if n < _CHUNK:
                 mask = (1 << (128 * n)) - 1
-                steps, ones, low = steps & mask, ones & mask, low & mask
+                lanes = [c & mask for c in lanes]
+            steps, ones, low, *extra = lanes
             z = (steps + ((seed + start * SPLITMIX_GAMMA) & _U64) * ones) & low
             z = (((z ^ (z >> 30)) & low) * _MIX_MUL_1) & low
             z = (((z ^ (z >> 27)) & low) * _MIX_MUL_2) & low
             z ^= z >> 31  # only the low 64 bits of each lane are read below
             if power:
-                top = (den - 1) * ones
-                bits = ((((z & top) ^ top) + num * ones) >> shift).to_bytes(16 * n, "little")
+                top, nums = extra
+                bits = ((((z & top) ^ top) + nums) >> shift).to_bytes(16 * n, "little")
                 self._buf += bits[::16]
+            elif reciprocal:
+                nums, den_off, den_num_off, carry = extra
+                z &= low
+                r = z - (((z * recip) >> 64) & low) * den
+                bits = (((r ^ low) + nums) & carry) + ((r + den_off) & carry)
+                bits -= (r + den_num_off) & carry
+                self._buf += bits.to_bytes(16 * n, "little")[8::16]
             else:
                 words = array("Q", z.to_bytes(16 * n, "little"))
                 if sys.byteorder == "big":

@@ -287,6 +287,35 @@ class TestRefusedInputs:
             "error: --nmax 11 exceeds the budget of 3628800 table entries (n! at --nmax 10)\n"
         )
 
+    def test_wct_guess_past_the_horizon_names_its_first_value(self, capsys, tmp_path):
+        # Block 3 takes values 100..103 and block 4 values 70..87, both past
+        # the horizon 64: the error names 100, the first in input order.
+        trace = tmp_path / "trace.txt"
+        trace.write_text(
+            "1:10\n2:1010\n3:11" + "0" * 98 + "1111\n4:" + "1" * 6 + "0" * 64 + "1" * 18 + "\n"
+        )
+        argv = ["wct", "--set", "evens", "--horizon", "64", "--nmax", "4",
+                "--trace-file", str(trace)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: index 100 outside evaluation horizon [0, 64)\n"
+
+    def test_wct_builder_that_reuses_a_value_is_refused(self, capsys, tmp_path, monkeypatch):
+        # With the free-range test broken, block 3 takes its preferred range
+        # [2, 7) over value 2 of block 2; the count of marked values sees it.
+        trace = tmp_path / "trace.txt"
+        trace.write_text("1:10\n2:1010\n3:111110101010\n")
+        argv = ["wct", "--set", "evens", "--horizon", "64", "--nmax", "3",
+                "--trace-file", str(trace)]
+        assert main(argv) == 0
+        monkeypatch.setattr(constructions, "_free", lambda *args: True)
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the wct injection takes 5 distinct values on 6 inputs\n"
+
     def test_wct_budget_is_checked_before_the_stream_is_built(self, monkeypatch):
         # --nmax 10 passes the check and reaches the stream; --nmax 11 does not.
         def refuse(*args):

@@ -8,17 +8,20 @@ total and injective for any guesses is checked in
 `test_injectivity_properties.py`), and its table equals the one built
 input by input with a set of assigned values, also for guesses that run
 over several of the 4,096-bit chunks in which it looks for a block's first
-preferred value.
+preferred value.  The block-wise hit counts of the `wct` command equal
+`preimage_hits` at the whole table, errors included.
 """
 
 import random
 from fractions import Fraction
 from math import factorial
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intdensity import (
+    HorizonError,
     SetStream,
     build_wct_injection,
     cantor_pair,
@@ -31,12 +34,14 @@ from intdensity import (
     preimage_partial_density,
     prefix_free_code,
     prefix_free_decode,
+    preimage_hits,
     string_code,
     string_decode,
     triple_code,
     triple_decode,
     wct_target,
 )
+from intdensity.constructions import _wct_blocks, _wct_hits
 from intdensity.streams import _CHUNK
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -202,3 +207,55 @@ def test_a_block_can_prefer_values_past_the_first_chunk():
     assert guess.index("1") + factorial(6) > _CHUNK and len(guess) > 2 * _CHUNK
     guesses = {n: guess for n in range(1, 8)}
     assert build_wct_injection(guesses, 7).table == set_built_wct_table(guesses, 7)
+
+
+# Sets with at least 5! + 1 members below 1,000, so every block up to 5 has
+# a true guess: seeded ones at p = 1/2 and 1/5, closed forms, a member list
+# and a bit file.
+HIT_RNG = random.Random(11)
+HIT_MEMBERS = ",".join(map(str, sorted(HIT_RNG.sample(range(1000), 400))))
+HIT_FILE_BITS = "".join(HIT_RNG.choice("0011101") for _ in range(1000))
+
+
+@pytest.fixture(scope="module")
+def hit_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("hits") / "bits.txt"
+    path.write_text(HIT_FILE_BITS)
+    return path
+
+
+@pytest.mark.parametrize(
+    "spec", ["seed:5", "seed:6:p=1/5", "evens", f"list:{HIT_MEMBERS}", "file:{path}"]
+)
+@settings(max_examples=40, deadline=None)
+@given(max_n=st.integers(1, 5), horizon=st.integers(1, 1000), data=st.data())
+def test_block_hits_match_preimage_hits_at_the_table(spec, hit_file, max_n, horizon, data):
+    spec = spec.format(path=hit_file)
+    source = SetStream.from_spec(spec, 1000)
+    guesses = {}
+    for n in range(1, max_n + 1):
+        truth = wct_target(source, n)
+        kind = data.draw(st.sampled_from(["true", "truncated", "flipped", "empty", "long"]))
+        if kind == "truncated":
+            truth = truth[: data.draw(st.integers(0, len(truth)))]
+        elif kind == "flipped":
+            bits = list(truth)
+            for i in data.draw(st.lists(st.integers(0, len(bits) - 1), max_size=4)):
+                bits[i] = "1" if bits[i] == "0" else "0"
+            truth = "".join(bits)
+        elif kind == "empty":
+            truth = ""
+        elif kind == "long":  # ones shifted out, some past the horizon
+            truth = "0" * data.draw(st.integers(0, 1500)) + truth
+        guesses[n] = truth
+    table = build_wct_injection(guesses, max_n).table
+    checkpoints = [factorial(n) for n in range(1, max_n + 1)]
+    blocks = _wct_blocks(guesses, max_n)
+    try:
+        expected = preimage_hits(SetStream.from_spec(spec, horizon), table, checkpoints)
+    except HorizonError as exc:
+        with pytest.raises(HorizonError) as err:
+            _wct_hits(SetStream.from_spec(spec, horizon), blocks)
+        assert str(err.value) == str(exc)
+    else:
+        assert _wct_hits(SetStream.from_spec(spec, horizon), blocks) == expected

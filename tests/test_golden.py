@@ -13,7 +13,10 @@ is a hit.
 
 A recorded file is the exact stdout of its invocation, `.csv` for CSV
 reports and `.json` otherwise; replacing one changes an expected output and
-needs a stated, reviewed reason in CHANGES.md.
+needs a stated, reviewed reason in CHANGES.md.  Two recorded files are not cases
+here: `wct-seed42-nmax10` and `wct-seed42-p1_5-nmax10`, `wct --nmax 10`
+at p = 1/2 and 1/5, take seconds each, and CI compares them with the
+installed entry point's output.
 """
 
 import io
@@ -31,6 +34,11 @@ FILES = {
     "pairs.csv": "0,0\n1,1\n2,3\n3,6\n4,10\n5,15\n",
     "trace.txt": "1:10\n2:1010\n",
     "trace-comments.txt": "# guesses\n\n1:10\n  # block 2\n2:1010\n\n",
+    # Block 3 is the truth for evens with bits 1 and 3 flipped, and block 5
+    # the truth cut in half: both blocks take fallback values.
+    "trace-wrong.txt": (
+        "1:10\n2:1010\n3:111110101010\n4:" + "10" * 24 + "\n5:" + "10" * 60 + "\n"
+    ),
     "table.txt": "0,2,3\n0,2,4\n0,2,5\n0,2,6\n",
     "bad-table.txt": "# input 0 has two values\n0,1,3\n0,2,3\n\n2,0,5\n",
     "unsorted-table.txt": (
@@ -134,6 +142,10 @@ CASES = {
     "wct-evens-trace-comments": (0, [
         "wct", "--set", "evens", "--horizon", "64", "--nmax", "2",
         "--trace-file", "trace-comments.txt",
+    ]),
+    "wct-evens-wrong-guesses-table": (0, [
+        "wct", "--set", "evens", "--horizon", "256", "--nmax", "5",
+        "--trace-file", "trace-wrong.txt", "--include-table",
     ]),
     "weakrep-of-program-manifest-comments": (0, [
         "weakrep", "of-program", "--manifest", "manifest-comments.txt",

@@ -446,6 +446,31 @@ def test_bulk_fill_matches_splitmix64(num, den, seed, start, length):
     assert bytes(backend._buf) == per_index_bits(seed, num, den, start + length)
 
 
+# Powers of two, dens that take the reciprocal reduction up to its bound
+# 2^63, and dens past it that take `%` per lane, at every num where the
+# reduction's carries change, in fills that end mid-step.
+GRID_DENS = [
+    1, 2, 3, 5, 6, 7, 10, 1000003, 2**32 - 1, 2**32 + 1, 2**63 - 1, 2**63,
+    2**63 + 1, 2**64 - 1, 2**64 + 1, 3**50,
+]
+GRID_LENGTHS = [1, 1023, 4097, 3 * _CHUNK + 5]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("den", GRID_DENS)
+def test_fill_matches_splitmix64_on_the_grid(seed, den):
+    words = [splitmix64(seed, i) for i in range(GRID_LENGTHS[-1])]
+    for num in sorted({0, 1, den // 2, den - 1, den}):
+        expected = bytes(w % den < num for w in words)
+        grown = _SeededBits(seed, num, den)
+        for length in GRID_LENGTHS:
+            fresh = _SeededBits(seed, num, den)
+            fresh._fill(length)
+            grown._fill(length)
+            assert fresh._buf == expected[:length], (num, length)
+        assert grown._buf == expected, num
+
+
 @pytest.mark.parametrize("upto", [1, 1023, 1024, 1025, 5000, _CHUNK * 3 + 1])
 def test_fills_stop_within_a_granule_of_the_request(upto):
     stream = SetStream.from_spec("seed:4", 10**12)
