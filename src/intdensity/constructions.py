@@ -18,7 +18,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain, compress, islice
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .codes import (
     _data_lines, _int_field, _is_bits, cantor_pair, cantor_unpair, string_code, string_decode
@@ -243,15 +243,28 @@ def _free(assigned: bytearray, first: int, last: int) -> bool:
     return assigned.find(1, first, last) < 0
 
 
-def _wct_blocks(guesses: Mapping[int, str], max_n: int) -> list[tuple]:
+class _WctBlock(NamedTuple):
+    """The values of the wct injection on one block of inputs, in input order.
+
+    A range block is the ones of the 0/1 bytes `mask` in [first, last),
+    and its `values` is None.  A fallback block lists its `values`, its
+    `mask` is None, and [first, last) is their least and greatest value
+    plus one.
+    """
+
+    mask: Optional[bytes]
+    first: int
+    last: int
+    values: Optional[list[int]]
+
+
+def _wct_blocks(guesses: Mapping[int, str], max_n: int) -> list[_WctBlock]:
     """The injection of `build_wct_injection`, block by block, proved injective.
 
-    Block n is (mask, first, last, values) and covers inputs [(n-1)!, n!).
-    Where the guess for block n has its n! - (n-1)! ones from its (n-1)!-th
-    one on, and no value in their range [first, last) is taken yet, the
-    block's values are the ones of the guess's 0/1 bytes `mask` in that
-    range, and `values` is None.  Otherwise `values` lists them, and
-    [first, last) is their least and greatest value plus one.
+    Block n covers inputs [(n-1)!, n!).  Where the guess for block n has
+    its n! - (n-1)! ones from its (n-1)!-th one on, and no value in their
+    range is taken yet, it is a range block over the guess's 0/1 bytes;
+    otherwise it is a fallback block.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -276,7 +289,7 @@ def _wct_blocks(guesses: Mapping[int, str], max_n: int) -> list[tuple]:
         end = None if first is None else ones.kth_one(high - 1, len(mask))
         if end is not None and _free(assigned, first, end + 1):
             assigned[first : end + 1] = mask[first : end + 1]
-            blocks.append((mask, first, end + 1, None))
+            blocks.append(_WctBlock(mask, first, end + 1, None))
             continue
         preferred = []
         if first is not None:
@@ -288,7 +301,7 @@ def _wct_blocks(guesses: Mapping[int, str], max_n: int) -> list[tuple]:
                 value = next_free = assigned.index(0, next_free)
             assigned[value] = 1
             values.append(value)
-        blocks.append((None, min(values), max(values) + 1, values))
+        blocks.append(_WctBlock(None, min(values), max(values) + 1, values))
 
     # Each value was unassigned when it was taken, so the values are distinct
     # exactly when max_n! of them are marked.
@@ -300,7 +313,7 @@ def _wct_blocks(guesses: Mapping[int, str], max_n: int) -> list[tuple]:
     return blocks
 
 
-def _wct_table(blocks: Sequence[tuple]) -> tuple[int, ...]:
+def _wct_table(blocks: Sequence[_WctBlock]) -> tuple[int, ...]:
     """The values of the injection on [0, max_n!), in input order."""
     return tuple(chain.from_iterable(
         compress(range(first, last), memoryview(mask)[first:last]) if values is None else values
@@ -308,7 +321,7 @@ def _wct_table(blocks: Sequence[tuple]) -> tuple[int, ...]:
     ))
 
 
-def _wct_hits(stream: SetStream, blocks: Sequence[tuple]) -> list[int]:
+def _wct_hits(stream: SetStream, blocks: Sequence[_WctBlock]) -> list[int]:
     """For each block n, the number of j < n! whose value is in the set.
 
     Equal to `preimage_hits(stream, _wct_table(blocks), checkpoints)` at the

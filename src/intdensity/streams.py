@@ -22,9 +22,7 @@ Each kind of set has one backend:
 
 from __future__ import annotations
 
-import sys
 import threading
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -234,28 +232,27 @@ class _SeededBits(_Buffered):
         self._seed = seed
         self._num = num
         self._den = den
-        self._constants = None  # lane constants of a whole step, made by the first fill
+        # Lane constants of a whole step, made by the first fill: rebuilding
+        # them in every fill cost the wct bench about a tenth of its jobs per second.
+        self._constants = None
 
     def _fill(self, upto):
         seed, num, den = self._seed, self._num, self._den
         # For den = 2^d <= 2^64, v mod den < num iff bit d of
-        # (den - 1 - v mod den) + num is set.  For any other den <= 2^63,
-        # with m = floor(2^64 / den), (v * m) >> 64 is v // den or one less,
-        # so r = v - ((v * m) >> 64) * den lies in [0, 2 den), and v mod den
+        # (den - 1 - v mod den) + num is set.  For any other den, with
+        # m = floor(2^64 / den), (v * m) >> 64 is v // den or one less, so
+        # r = v - ((v * m) >> 64) * den lies in [0, 2 den), and v mod den
         # < num iff [r < num] + [r >= den] - [r >= den + num] is 1; each
-        # bracket is the carry into bit 64 of one sum.  A larger den takes
-        # `%` per lane.
+        # bracket is the carry into bit 64 of one sum.  Past 2^64 a bracket
+        # is constant (r < 2^64), so its addend is clamped to [0, 2^64].
         power = den & (den - 1) == 0 and den <= 1 << 64
-        reciprocal = not power and den <= 1 << 63
         if self._constants is None:
             steps, ones, low = _lanes()
             if power:
                 extra = ((den - 1) * ones, num * ones)
-            elif reciprocal:
-                extra = (num * ones, ((1 << 64) - den) * ones,
-                         ((1 << 64) - den - num) * ones, ones << 64)
             else:
-                extra = ()
+                extra = (min(num, 1 << 64) * ones, max(0, (1 << 64) - den) * ones,
+                         max(0, (1 << 64) - den - num) * ones, ones << 64)
             self._constants = (steps, ones, low) + extra
         shift, recip = den.bit_length() - 1, (1 << 64) // den
         start = len(self._buf)
@@ -274,18 +271,13 @@ class _SeededBits(_Buffered):
                 top, nums = extra
                 bits = ((((z & top) ^ top) + nums) >> shift).to_bytes(16 * n, "little")
                 self._buf += bits[::16]
-            elif reciprocal:
+            else:
                 nums, den_off, den_num_off, carry = extra
                 z &= low
                 r = z - (((z * recip) >> 64) & low) * den
                 bits = (((r ^ low) + nums) & carry) + ((r + den_off) & carry)
                 bits -= (r + den_num_off) & carry
                 self._buf += bits.to_bytes(16 * n, "little")[8::16]
-            else:
-                words = array("Q", z.to_bytes(16 * n, "little"))
-                if sys.byteorder == "big":
-                    words.byteswap()
-                self._buf += bytes(map(num.__gt__, map(den.__rmod__, words[::2])))
             start += n
 
 

@@ -446,12 +446,12 @@ def test_bulk_fill_matches_splitmix64(num, den, seed, start, length):
     assert bytes(backend._buf) == per_index_bits(seed, num, den, start + length)
 
 
-# Powers of two, dens that take the reciprocal reduction up to its bound
-# 2^63, and dens past it that take `%` per lane, at every num where the
-# reduction's carries change, in fills that end mid-step.
+# Powers of two up to 2^64, and dens of the reciprocal reduction on both
+# sides of 2^63 and 2^64, where its addends are clamped, at every num where
+# the reduction's carries change, in fills that end mid-step.
 GRID_DENS = [
     1, 2, 3, 5, 6, 7, 10, 1000003, 2**32 - 1, 2**32 + 1, 2**63 - 1, 2**63,
-    2**63 + 1, 2**64 - 1, 2**64 + 1, 3**50,
+    2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**65, 3**50,
 ]
 GRID_LENGTHS = [1, 1023, 4097, 3 * _CHUNK + 5]
 
