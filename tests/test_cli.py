@@ -166,32 +166,52 @@ class TestConstructionCommands:
 
 
 class TestAdversaryEvaluations:
-    """`dom` reads the sampler's prefix once, not once per row."""
+    """`dom` and `hits` read the sampler's prefix once, not once per row or hit."""
 
     @staticmethod
-    def count_evaluations(monkeypatch):
-        """Every evaluation, through whichever module makes it."""
-        calls = []
+    def count_reads(monkeypatch):
+        """The length of every prefix read, and every single evaluation."""
+        reads, evaluations = [], []
+        read = samplers.Sampler._read
 
-        def counted(sampler, x):
-            calls.append(x)
+        def counted_read(sampler, n):
+            reads.append(n)
+            return read(sampler, n)
+
+        def counted_eval(sampler, x):
+            evaluations.append(x)
             return eval_sampler(sampler, x)
 
-        for module in (cli, constructions, samplers, weakrep):
-            monkeypatch.setattr(module, "eval_sampler", counted)
-        return calls
+        monkeypatch.setattr(samplers.Sampler, "_read", counted_read)
+        for module in (constructions, samplers, weakrep):
+            monkeypatch.setattr(module, "eval_sampler", counted_eval)
+        return reads, evaluations
 
     @pytest.mark.parametrize("sampler", ["identity", "double", "swapblocks:3"])
     @pytest.mark.parametrize("q, nmax", [(1, 0), (2, 3), (3, 40)])
     def test_dom_reads_the_prefix_once(self, capsys, monkeypatch, sampler, q, nmax):
-        calls = self.count_evaluations(monkeypatch)
+        reads, evaluations = self.count_reads(monkeypatch)
         f_values = ",".join(str(2 * n) for n in range(nmax + 1))
         code, report = run_json(
             capsys, "dom", "--sampler", sampler, "--f-values", f_values,
             "--q", str(q), "--nmax", str(nmax),
         )
         assert code == 0 and len(report["results"]["rows"]) == nmax + 1
-        assert calls == list(range((nmax + 1) * q + 1))
+        assert reads == [(nmax + 1) * q + 1] and evaluations == []
+
+    def test_hits_reads_one_prefix_for_the_hits_and_one_for_their_traces(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        table = tmp_path / "pairs.csv"
+        table.write_text("".join(f"{j},{j * (j + 1) // 2}\n" for j in range(40)))
+        reads, evaluations = self.count_reads(monkeypatch)
+        code, report = run_json(
+            capsys, "hits", "--sampler", f"table:{table}", "--values", ",".join(["0"] * 30),
+            "--q", "1",
+        )
+        assert code == 0 and report["results"]["hits"] == list(range(30))
+        assert len(report["checks"]) == 30 and all(c["pass"] for c in report["checks"])
+        assert reads == [30, 30] and evaluations == []
 
 
 class TestCodesCommands:

@@ -9,7 +9,7 @@ validation whose witness is a tuple, a step-witness table in shuffled order
 with a repeated line, an unsorted `list:` spec and a `file:` spec with
 mixed whitespace.  The `dom` and `hits` cases also cover table
 and `swapblocks` samplers, q = 3, a CSV report and a run where every input
-is a hit.
+is a hit, once with 6 inputs and once with 3,000.
 
 A recorded file is the exact stdout of its invocation, `.csv` for CSV
 reports and `.json` otherwise; replacing one changes an expected output and
@@ -53,6 +53,9 @@ FILES = {
     "values.txt": "3\n1\n\n4\n1\n",
     "f-values.txt": "1\n2\n\n4\n8\n",
     "bits.txt": "0110 1\t10\r\n\x0b1\x0c0\x1c1\x1d1\x1e0\x1f1\n\n  10 01\n",
+    # j -> <j, 0> on 3,000 inputs, with 3,000 zero values: every input is a hit.
+    "pairs-3000.csv": "".join(f"{j},{j * (j + 1) // 2}\n" for j in range(3000)),
+    "zeros-3000.txt": "0\n" * 3000,
 }
 
 # name -> (exit code, argv)
@@ -194,6 +197,11 @@ CASES = {
     # pairs.csv maps j to <j, 0>, so with zero values every input is a hit.
     "hits-table-all-hits": (0, [
         "hits", "--sampler", "table:pairs.csv", "--values", "0,0,0,0,0,0", "--q", "1",
+    ]),
+    # The same at 3,000 hits; CI also runs it through the installed entry point.
+    "hits-hit-heavy": (0, [
+        "hits", "--sampler", "table:pairs-3000.csv", "--values-file", "zeros-3000.txt",
+        "--q", "1",
     ]),
 }
 

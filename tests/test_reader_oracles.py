@@ -1,8 +1,9 @@
 """Oracles for the bulk readers of integer data files and for the sorted view
 of step-witness tables.
 
-`codes._int_fields` converts every field of a data file in one pass and runs
-a caller's per-line reader only to name the first bad line.  The per-line
+`codes._int_fields` converts every field of a data file in one pass, as one
+JSON array if every field is a JSON integer and else by `int`, and runs a
+caller's per-line reader only to name the first bad line.  The per-line
 loops it replaced are kept here verbatim apart from their names: the table
 reader of `WeakRepTable.from_lines` (three fields a line), the `j,value`
 reader of `samplers.load_table_csv` (two) and the values-file reader of
@@ -77,6 +78,9 @@ NOISE = ["", "   ", "\t", "# note", "  # 1,2,3", "#"]
 ODD_TOKENS = [
     " 4 ", "+7", "1_000", "007", "-0", "-3", "\t2", "x", "", "1.5", "1 2", "_1", "1__0",
     "0x1", "٣",
+    # JSON tokens that are not int() literals: a file holding one is not read as JSON.
+    "1e3", "1E-2", "2.0", "true", "false", "null", "NaN", "Infinity", "-Infinity", '"7"',
+    "[]", "[1]", "[1,2]", "{}", '{"a":1}', "[", "]", "[[", "]]", "-", "\x0c5",
 ]
 # Mostly naturals, so that whole files often parse.
 TOKENS = st.one_of(
@@ -147,6 +151,9 @@ def test_table_csv_matches_the_per_line_reader(text, data_path):
 @example(text=" 3 \n# c\n\n+7\n1_000\n-2\n")
 @example(text="1,2\n")
 @example(text="1\nz\n")
+@example(text="1\n" + "[" * 100_000 + "\n")
+@example(text="[1\n2]\n")
+@example(text="1]\n[2\n")
 def test_values_file_matches_the_per_line_reader(text, data_path):
     data_path.write_text(text)
     assert outcome(_read_values, None, data_path) == outcome(line_values, data_path)
