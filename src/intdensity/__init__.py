@@ -32,7 +32,6 @@ from .constructions import (
     prefix_code_sampler,
     prefix_set,
     trace_from_sampler,
-    traces,
     wct_target,
 )
 from .errors import (

@@ -14,7 +14,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from math import factorial
 from time import perf_counter
 
@@ -220,7 +220,7 @@ def _run_hits(args):
     horizon = args.horizon if args.horizon is not None else len(values)
     hits = sorted(cons.hit_indices(sampler, values, args.q, horizon))
     checks = []
-    for m, trace in zip(hits, cons.traces(sampler, args.q, hits)):
+    for m, trace in zip(hits, cons._traces(sampler, args.q, hits)):
         sound = values[m] in trace and len(trace) <= (m + 1) * args.q
         checks.append(_check(f"hit_{m}_sound", sound, f"f({m})={values[m]}"))
     return {"hits": hits}, {}, checks
@@ -530,12 +530,8 @@ def _emit_csv(report: dict) -> str:
             for key in sorted(obj):
                 walk(obj[key], f"{path}.{key}" if path else str(key))
         elif isinstance(obj, (list, tuple)):
-            kinds = set(map(type, obj))
-            if any(issubclass(kind, (dict, list, tuple, type(None))) for kind in kinds):
-                for i, item in enumerate(obj):
-                    walk(item, f"{path}.{i}")
-            else:  # no container and no None: every row at once
-                rows.extend(zip(map("{}.{}".format, repeat(path), range(len(obj))), map(str, obj)))
+            for i, item in enumerate(obj):
+                walk(item, f"{path}.{i}")
         else:
             rows.append((path, "" if obj is None else str(obj)))
 

@@ -50,12 +50,12 @@ def _int_field(text: str, source: str, kind: str = "spec") -> int:
 def _int_fields(lines, width: int, read_line) -> list[int]:
     """The integer fields of a data file of `width` comma-separated fields a line.
 
-    The fields come in file order, converted in one C-level pass over the
-    data lines: parsed as one JSON array, kept only if every field is an int
-    (a JSON integer is an `int()` literal of the same value), or else split
-    and converted by `int`.  Only if both fail does read_line(index, line),
-    the caller's per-line reader, run on each line in turn: it raises at the
-    first bad line, with that line's own message.
+    The fields come in file order, parsed in C as one JSON array and kept
+    if every field is an int: a JSON integer is an `int()` literal of the
+    same value.  Only if that pass fails does read_line(index, line), the
+    caller's per-line reader, run on each line in turn: it raises at the
+    first bad line, with that line's own message, or reads the `int()`
+    literals that JSON lacks (`+7`, `007`, `1_000`).
     """
     lines = _data_lines(lines)
     if set(map(str.count, lines, repeat(","))) <= {width - 1}:
@@ -64,10 +64,6 @@ def _int_fields(lines, width: int, read_line) -> list[int]:
             if set(map(type, fields)) <= {int}:
                 return fields
         except (ValueError, RecursionError):  # deep brackets exhaust the C scanner's stack
-            pass
-        try:
-            return list(map(int, chain.from_iterable(map(str.split, lines, repeat(",")))))
-        except ValueError:
             pass
     return list(chain.from_iterable(map(read_line, count(), lines)))
 

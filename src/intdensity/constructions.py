@@ -396,18 +396,16 @@ def graph_set(
 
 def trace_from_sampler(sampler: Sampler, q: int, n: int) -> set[int]:
     """Candidate values for step n: second components of the image of [0, (n+1)q)."""
-    return next(traces(sampler, q, [n]))
+    return next(_traces(sampler, q, [n]))
 
 
-def traces(sampler: Sampler, q: int, steps: Sequence[int]) -> Iterator[set[int]]:
-    """`trace_from_sampler` at each of the increasing steps: one set, grown by
-    each step's new values and yielded again, off one prefix."""
+def _traces(sampler: Sampler, q: int, steps: Sequence[int]) -> Iterator[set[int]]:
+    """`trace_from_sampler` at each of the increasing steps, off one prefix: the
+    same set each time, grown in place, so a caller reads it before the next."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if steps and steps[0] < 0:
         raise ValueError("n must be a natural number")
-    if any(b < a for a, b in pairwise(steps)):
-        raise ValueError("steps must be increasing")
     values, error = sampler._read((steps[-1] + 1) * q if steps else 0)
     trace: set[int] = set()
     for start, stop in pairwise([0] + [(n + 1) * q for n in steps]):

@@ -46,7 +46,7 @@ class Sampler:
         self._raw = raw
         self._table = table
         self._involution = involution
-        self._bulk = bulk  # the values on [0, n) inside the domain, at once
+        self._bulk = bulk  # a builtin's values on [0, n) inside the domain, at once
 
     def __repr__(self):
         bound = "unbounded" if self.domain_bound is None else self.domain_bound
@@ -66,11 +66,13 @@ class Sampler:
     def _read(self, n: int) -> tuple[Sequence[int], Optional[Exception]]:
         """The prefix up to the first input that fails, and its error or None: a reader
         checks those values, then raises it, as a loop over the inputs would."""
-        bound = self.domain_bound
+        bound, table = self.domain_bound, self._table
         stop = max(0, n if bound is None else min(n, bound))
         values, error = [], None
         if self._bulk is not None:
             values = self._bulk(stop)
+        elif table is not None:  # the table, then its identity extension
+            values = table[:stop] + tuple(range(len(table), stop))
         else:
             # A program may raise anything; its error is returned, not dropped, and
             # list.extend keeps the values made before it.
@@ -162,12 +164,9 @@ class Sampler:
         def raw(x: int) -> int:
             return table[x] if x < len(table) else x
 
-        def bulk(n: int) -> tuple[int, ...]:
-            return table[:n] + tuple(range(len(table), n))
-
         if label is None:
             label = f"table[{len(table)}]"
-        return cls(raw, kind, label, domain_bound, table, bulk=bulk)
+        return cls(raw, kind, label, domain_bound, table)
 
     @classmethod
     def from_function(

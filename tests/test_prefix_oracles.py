@@ -38,7 +38,7 @@ from intdensity import (
     trace_from_sampler,
 )
 from intdensity.codes import cantor_pair, cantor_unpair, string_decode
-from intdensity.constructions import traces
+from intdensity.constructions import _traces
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -258,14 +258,9 @@ def test_traces_grow_one_set_through_the_steps(make, q, steps):
         return [loop_trace_from_sampler(make(), q, n) for n in steps]
 
     def running():
-        return [set(trace) for trace in traces(make(), q, steps)]
+        return [set(trace) for trace in _traces(make(), q, steps)]
 
     assert outcome(running) == outcome(each)
-
-
-def test_traces_refuse_decreasing_steps():
-    with pytest.raises(ValueError, match="^steps must be increasing$"):
-        next(traces(Sampler.identity(), 1, [3, 1]))
 
 
 @PROPERTY

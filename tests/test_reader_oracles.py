@@ -1,9 +1,9 @@
 """Oracles for the bulk readers of integer data files and for the sorted view
 of step-witness tables.
 
-`codes._int_fields` converts every field of a data file in one pass, as one
-JSON array if every field is a JSON integer and else by `int`, and runs a
-caller's per-line reader only to name the first bad line.  The per-line
+`codes._int_fields` parses a data file as one JSON array when every field is
+a JSON integer, and otherwise runs a caller's per-line reader, which names
+the first bad line or reads the `int()` literals JSON lacks.  The per-line
 loops it replaced are kept here verbatim apart from their names: the table
 reader of `WeakRepTable.from_lines` (three fields a line), the `j,value`
 reader of `samplers.load_table_csv` (two) and the values-file reader of

@@ -1,4 +1,4 @@
-"""Oracles for the report writers of the CLI.
+"""Oracle for the JSON report writer of the CLI.
 
 `cli._dump_json` must write exactly `json.dumps(obj, indent=2, sort_keys=True)`,
 or raise the same error, while it encodes each container of scalars, and
@@ -7,19 +7,14 @@ objects drawn here nest dicts, lists and tuples; hold empty containers and
 empty-dict records; use int keys; and carry NaN, infinities, ints past the
 decimal-digit limit, and strings with quotes, newlines, non-ASCII text and
 the very text that separates two indented records.
-
-`cli._emit_csv` appends all rows of a flat list at once; the recursive
-walker it short-cuts is kept here verbatim as its oracle.
 """
 
-import csv
-import io
 import json
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intdensity.cli import _dump_json, _emit_csv
+from intdensity.cli import _dump_json
 
 PROPERTY = settings(max_examples=400, deadline=None)
 
@@ -34,27 +29,6 @@ def outcome(fn, *args):
 
 def indented(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def walker_csv(report: dict) -> str:
-    rows = []
-
-    def walk(obj, path):
-        if isinstance(obj, dict):
-            for key in sorted(obj):
-                walk(obj[key], f"{path}.{key}" if path else str(key))
-        elif isinstance(obj, (list, tuple)):
-            for i, item in enumerate(obj):
-                walk(item, f"{path}.{i}")
-        else:
-            rows.append((path, "" if obj is None else str(obj)))
-
-    walk(report, "")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    writer.writerows(rows)
-    return out.getvalue()
 
 
 TRICKY = ["},\n  {", "},\n    {", '"', "\\", "é", "日本", "\x00", "\n", "{}", "[]", "a\"b", ""]
@@ -90,11 +64,3 @@ REPORTS = st.recursive(SCALARS | RECORDS, containers, max_leaves=24)
 @example(obj={"a": [{"x": 1}, {"y": [2]}]})
 def test_dump_json_matches_indented_dumps(obj):
     assert outcome(_dump_json, obj) == outcome(indented, obj)
-
-
-@PROPERTY
-@given(obj=st.dictionaries(KEYS, REPORTS, max_size=5))
-@example(obj={"results": {"hits": [0, 1, 2], "flags": [True, None, 2.5]}})
-@example(obj={"a{b}": ["x", 1], "{}": [1]})
-def test_emit_csv_matches_the_walker(obj):
-    assert outcome(_emit_csv, obj) == outcome(walker_csv, obj)
