@@ -130,9 +130,9 @@ def finite_set_code(members: Iterable[int]) -> int:
 
 
 def finite_set_decode(code: int) -> frozenset[int]:
-    """Inverse of finite_set_code: read the binary expansion."""
+    """Inverse of finite_set_code: read the binary expansion, in linear time."""
     _check_natural(code, "code")
-    return frozenset(i for i in range(code.bit_length()) if code >> i & 1)
+    return frozenset(i for i, bit in enumerate(bin(code)[:1:-1]) if bit == "1")
 
 
 def prefix_free_code(n: int) -> str:

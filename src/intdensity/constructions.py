@@ -335,7 +335,9 @@ def _wct_hits(stream: SetStream, blocks: Sequence[_WctBlock]) -> list[int]:
     Equal to `preimage_hits(stream, _wct_table(blocks), checkpoints)` at the
     checkpoints 1!, ..., max_n!, with the same HorizonError for the first
     value in input order outside the horizon.  A block that is a range of
-    the guess's ones is counted with `count_masked`, without listing them.
+    the guess's ones is counted without listing them: with one byte per bit,
+    the AND of the guess's and the stream's slices, read as ints, has one set
+    bit per hit.
     """
     horizon = stream.horizon
     for mask, first, last, values in blocks:
@@ -347,7 +349,9 @@ def _wct_hits(stream: SetStream, blocks: Sequence[_WctBlock]) -> list[int]:
     counts, hits = [], 0
     for mask, first, last, values in blocks:
         if values is None:
-            hits += backend.count_masked(mask, first, last)
+            bits = backend.gather(range(first, last), last)
+            hits += (int.from_bytes(mask[first:last], "little")
+                     & int.from_bytes(bits, "little")).bit_count()
         else:
             hits += backend.gather(values, last).count(1)
         counts.append(hits)

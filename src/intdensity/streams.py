@@ -6,7 +6,6 @@ arbitrary-precision, so factorial and power-sized horizons are fine.
 
 Each kind of set has one backend:
 
-* closed forms (`full`, `evens`, `odds`) answer every query by a formula;
 * member lists hold a finite set as its sorted members: `list:` and
   `empty` specs, `SetStream.from_members`, and the graph and image sets
   built by `constructions.graph_set` and `weakrep.image_set`;
@@ -14,10 +13,9 @@ Each kind of set has one backend:
   `seed:` streams fill theirs on demand, only as far as a query needs.
   The fill computes thousands of bits per step (see `_SeededBits`), and
   every bit equals its per-index definition `splitmix64`;
-* rules (`SetStream.from_function`) call a membership function per bit,
-  for sets defined through another stream: `constructions.prefix_set`
-  and `samplers.image_stream`;
-* complements wrap another backend.
+* rules call a membership function per bit, with closed-form counts and
+  selections where they have them: `full`, `evens`, `odds`, complements,
+  and `SetStream.from_function` (`prefix_set`, `image_stream`).
 """
 
 from __future__ import annotations
@@ -102,10 +100,6 @@ class _Backend:
         """The bits at the given in-horizon indices, all below bound, as 0/1 bytes."""
         return bytes(map(self.bit, indices))
 
-    def count_masked(self, mask: bytes, first: int, last: int) -> int:
-        """The members i in [first, last) with mask[i] == 1, counted; last is in-horizon."""
-        return self.gather(list(compress(range(first, last), mask[first:last])), last).count(1)
-
     def kth_one(self, k: int, bound: int) -> Optional[int]:
         found = 0
         for i in range(bound):
@@ -114,23 +108,6 @@ class _Backend:
                     return i
                 found += 1
         return None
-
-
-class _ClosedForm(_Backend):
-    def __init__(self, bit_fn, count_fn, kth_fn):
-        self._bit = bit_fn
-        self._count = count_fn
-        self._kth = kth_fn
-
-    def bit(self, index):
-        return self._bit(index)
-
-    def count_below(self, n):
-        return self._count(n)
-
-    def kth_one(self, k, bound):
-        pos = self._kth(k)
-        return pos if pos < bound else None
 
 
 class _Members(_Backend):
@@ -191,18 +168,10 @@ class _Buffered(_Backend):
     def gather(self, indices, bound):
         self._ensure(bound)
         if isinstance(indices, range) and indices.step > 0:  # a builtin's prefix: one slice
-            return bytes(self._buf[indices.start : indices.stop : indices.step])
+            return self._buf[indices.start : indices.stop : indices.step]
         if len(indices) < 2:  # itemgetter needs an index, and returns one bit bare
             return bytes(map(self._buf.__getitem__, indices))
         return bytes(itemgetter(*indices)(self._buf))
-
-    def count_masked(self, mask, first, last):
-        # One byte per bit on both sides, so an AND of the two slices read
-        # as ints leaves one set bit per member under the mask.
-        self._ensure(last)
-        both = int.from_bytes(mask[first:last], "little")
-        both &= int.from_bytes(self._buf[first:last], "little")
-        return both.bit_count()
 
     def kth_one(self, k, bound):
         # Count whole chunks in C, filling one chunk at a time, and select
@@ -285,11 +254,13 @@ class _SeededBits(_Buffered):
 
 class _Rule(_Backend):
     """Arbitrary deterministic membership rule, evaluated on every query, and
-    optionally `count`, the members below n counted in bulk."""
+    optionally the closed forms `count` (members below n) and `kth` (k-th member)."""
 
-    def __init__(self, fn: Callable[[int], int], count: Callable[[int], int] = None):
+    def __init__(self, fn: Callable[[int], int], count: Callable[[int], int] = None,
+                 kth: Callable[[int], int] = None):
         self._fn = fn
         self._count = count
+        self._kth = kth
 
     def bit(self, index):
         return 1 if self._fn(index) else 0
@@ -297,16 +268,11 @@ class _Rule(_Backend):
     def count_below(self, n):
         return super().count_below(n) if self._count is None else self._count(n)
 
-
-class _Complement(_Backend):
-    def __init__(self, inner: _Backend):
-        self._inner = inner
-
-    def bit(self, index):
-        return 1 - self._inner.bit(index)
-
-    def count_below(self, n):
-        return n - self._inner.count_below(n)
+    def kth_one(self, k, bound):
+        if self._kth is None:
+            return super().kth_one(k, bound)
+        pos = self._kth(k)
+        return pos if pos < bound else None
 
 
 class SetStream:
@@ -365,7 +331,9 @@ class SetStream:
         return self._backend.members_below(n)
 
     def complement(self) -> "SetStream":
-        return SetStream(_Complement(self._backend), self._horizon, f"~({self._label})")
+        inner = self._backend
+        rule = _Rule(lambda i: 1 - inner.bit(i), lambda n: n - inner.count_below(n))
+        return SetStream(rule, self._horizon, f"~({self._label})")
 
     @classmethod
     def from_function(
@@ -422,11 +390,11 @@ def _parse_spec(spec: str):
     if spec == "empty":
         return _Members([]), None
     if spec == "full":
-        return _ClosedForm(lambda i: 1, lambda n: n, lambda k: k), None
+        return _Rule(lambda i: 1, lambda n: n, lambda k: k), None
     if spec == "evens":
-        return _ClosedForm(lambda i: 1 - (i & 1), lambda n: (n + 1) // 2, lambda k: 2 * k), None
+        return _Rule(lambda i: 1 - (i & 1), lambda n: (n + 1) // 2, lambda k: 2 * k), None
     if spec == "odds":
-        return _ClosedForm(lambda i: i & 1, lambda n: n // 2, lambda k: 2 * k + 1), None
+        return _Rule(lambda i: i & 1, lambda n: n // 2, lambda k: 2 * k + 1), None
     if spec.startswith("seed:"):
         parts = spec.split(":")
         if len(parts) not in (2, 3):

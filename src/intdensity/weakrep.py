@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, chain, groupby, repeat
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
@@ -130,7 +130,6 @@ def _passed(name: str) -> BulletCheck:
     return BulletCheck(name, True, None, "ok")
 
 
-@lru_cache(maxsize=256)
 def validate_weakrep(table: WeakRepTable) -> WeakRepReport:
     """Check the four invariants, with a witnessing triple for each failure.
 
@@ -183,7 +182,8 @@ def eval_step(table: WeakRepTable, x: int, z: int) -> Optional[int]:
     """The value to which x converges by step z, or None if it has not yet.
 
     Convergence by step z needs a triple (x, y, z) with y < z, which keeps
-    the question decidable from the table alone.
+    the question decidable from the table alone.  Every call validates the
+    table first.
     """
     if z > table.horizon:
         raise HorizonError(f"step {z} exceeds table horizon {table.horizon}")

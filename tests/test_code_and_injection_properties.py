@@ -42,7 +42,7 @@ from intdensity import (
     wct_target,
 )
 from intdensity.constructions import _wct_blocks, _wct_hits
-from intdensity.streams import _CHUNK
+from intdensity.streams import _CHUNK, _Buffered
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -225,7 +225,8 @@ def hit_file(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "spec", ["seed:5", "seed:6:p=1/5", "evens", f"list:{HIT_MEMBERS}", "file:{path}"]
+    "spec",
+    ["seed:5", "seed:6:p=1/5", "evens", "full", "odds", f"list:{HIT_MEMBERS}", "file:{path}"],
 )
 @settings(max_examples=40, deadline=None)
 @given(max_n=st.integers(1, 5), horizon=st.integers(1, 1000), data=st.data())
@@ -259,3 +260,24 @@ def test_block_hits_match_preimage_hits_at_the_table(spec, hit_file, max_n, hori
         assert str(err.value) == str(exc)
     else:
         assert _wct_hits(SetStream.from_spec(spec, horizon), blocks) == expected
+
+
+@pytest.mark.parametrize("spec", ["seed:5", "file:{path}"])
+def test_block_hits_make_no_per_bit_calls(spec, hit_file, monkeypatch):
+    source = SetStream.from_spec(spec.format(path=hit_file), 1000)
+    guesses = {n: wct_target(source, n) for n in range(1, 6)}
+    guesses[3] = ""  # a fallback block, which lists its values
+    blocks = _wct_blocks(guesses, 5)
+    assert {values is None for *_, values in blocks} == {True, False}
+    table = build_wct_injection(guesses, 5).table
+    expected = preimage_hits(source, table, [factorial(n) for n in range(1, 6)])
+    calls = [0]
+    per_bit = _Buffered.bit
+
+    def counted(self, index):
+        calls[0] += 1
+        return per_bit(self, index)
+
+    monkeypatch.setattr(_Buffered, "bit", counted)
+    assert _wct_hits(source, blocks) == expected
+    assert calls[0] == 0

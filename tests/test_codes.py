@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from intdensity import (
     cantor_pair,
@@ -20,6 +22,13 @@ from intdensity import (
     triple_code,
     triple_decode,
 )
+from intdensity.codes import _check_natural
+
+
+def shifted_set_decode(code):
+    """finite_set_decode by one shift per bit: the definition, quadratic in the length."""
+    _check_natural(code, "code")
+    return frozenset(i for i in range(code.bit_length()) if code >> i & 1)
 
 
 class TestCantorPair:
@@ -101,6 +110,18 @@ class TestFiniteSetCode:
             assert members == frozenset(
                 i for i, c in enumerate(reversed(format(code, "b"))) if c == "1"
             )
+
+    @given(st.integers(0, 1 << 3000))
+    def test_decode_matches_the_shifted_reading(self, code):
+        assert finite_set_decode(code) == shifted_set_decode(code)
+
+    @pytest.mark.parametrize("code", [-1, -(1 << 70), True, False, 1.0, "5"])
+    def test_decode_rejects_what_the_shifted_reading_rejects(self, code):
+        with pytest.raises(ValueError) as expected:
+            shifted_set_decode(code)
+        with pytest.raises(ValueError) as got:
+            finite_set_decode(code)
+        assert str(got.value) == str(expected.value)
 
     def test_sum_of_powers_oracle(self):
         rng = random.Random(3)

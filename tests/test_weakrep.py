@@ -1,9 +1,11 @@
 """Step-witness tables, registries, interleaving, and DNR-branch codings."""
 
+import gc
 import json
 import random
 import time
 import tracemalloc
+import weakref
 from itertools import product
 
 import pytest
@@ -103,6 +105,14 @@ class TestValidator:
         assert report.bullet("consistency").passed
         assert report.bullet("monotonicity").passed
         assert report.bullet("downward_closure").passed
+
+    def test_validated_table_is_not_kept_alive(self):
+        table = WeakRepTable.from_triples(fill(0, 2, 3, 6), 6)
+        report = validate_weakrep(table)
+        ref = weakref.ref(table)
+        del table
+        gc.collect()
+        assert ref() is None and report.ok
 
     def test_fuzzed_valid_tables_pass(self):
         rng = random.Random(6)
