@@ -7,6 +7,7 @@ All codes are exact over arbitrary-precision naturals; no floats anywhere.
 from __future__ import annotations
 
 import json
+import re
 from itertools import chain, count, repeat
 from math import isqrt
 from typing import Iterable
@@ -135,6 +136,10 @@ def finite_set_decode(code: int) -> frozenset[int]:
     return frozenset(i for i, bit in enumerate(bin(code)[:1:-1]) if bit == "1")
 
 
+# The payload of a codeword: its doubled pairs, read up to the first 01.
+_DOUBLED_PAIRS = re.compile("(?:00|11)*")
+
+
 def prefix_free_code(n: int) -> str:
     """Self-delimiting binary code of n >= 1 in exactly 2*floor(log2 n) + 2 bits.
 
@@ -152,21 +157,13 @@ def prefix_free_code(n: int) -> str:
 def prefix_free_decode(bits: str) -> tuple[int, int]:
     """Read one codeword from the front of bits; return (n, bits consumed)."""
     _check_bits(bits)
-    payload = []
-    pos = 0
-    while True:
-        group = bits[pos : pos + 2]
-        if len(group) < 2:
-            raise ValueError("truncated codeword: no end marker found")
-        pos += 2
-        if group == "01":
-            return int("1" + "".join(payload), 2), pos
-        if group == "00":
-            payload.append("0")
-        elif group == "11":
-            payload.append("1")
-        else:
-            raise ValueError(f"invalid bit pair {group!r} at offset {pos - 2}")
+    pos = _DOUBLED_PAIRS.match(bits).end()
+    group = bits[pos : pos + 2]
+    if len(group) < 2:
+        raise ValueError("truncated codeword: no end marker found")
+    if group != "01":
+        raise ValueError(f"invalid bit pair {group!r} at offset {pos}")
+    return int("1" + bits[:pos:2], 2), pos + 2
 
 
 def fixed_width_len(n: int) -> int:

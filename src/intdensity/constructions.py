@@ -73,18 +73,18 @@ def introreduce(codes) -> str:
     ordered = sorted(set(codes))
     if not ordered:
         raise ValueError("need at least one code")
-    bits: list[str] = []
-    sources: list[int] = []
+    bits = ""
     for code in ordered:
+        # Length-lex codes grow with length, so sigma is at least as long as bits.
         sigma = string_decode(code)
-        for i, c in enumerate(sigma):
-            if i < len(bits):
-                if bits[i] != c:
-                    raise PrefixInconsistencyError(i, sources[i], code)
-            else:
-                bits.append(c)
-                sources.append(code)
-    return "".join(bits)
+        if not sigma.startswith(bits):
+            # The first differing position is the highest set bit of the XOR.  The
+            # first code to reach it is the least code of a longer string: those
+            # start at 2^(i+1) - 1.
+            i = len(bits) - (int(bits, 2) ^ int(sigma[: len(bits)], 2)).bit_length()
+            raise PrefixInconsistencyError(i, ordered[bisect_left(ordered, (2 << i) - 1)], code)
+        bits = sigma
+    return bits
 
 
 @dataclass(frozen=True)

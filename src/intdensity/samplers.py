@@ -14,8 +14,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import partial
-from itertools import islice, repeat
-from operator import lt
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from .codes import _int_field, _int_fields
@@ -132,24 +131,16 @@ class Sampler:
         the identity, which requires the table to map [0, len) onto itself.
         """
         table = tuple(values)
-        # A strictly increasing table is injective, with its ends as its
-        # least and greatest values; the scan stops at the first descent,
-        # and only a table with one needs the set of its values.
-        rising = all(map(lt, table, islice(table, 1, None)))
-        if rising and table:
-            low, high = table[0], table[-1]
-        else:
-            low, high = min(table, default=0), max(table, default=-1)
-        if low < 0:
+        if min(table, default=0) < 0:
             raise ValueError("table values must be naturals")
-        if not rising and len(set(table)) < len(table):
+        if len(set(table)) < len(table):
             seen: set[int] = set()
             for v in table:
                 if v in seen:
                     raise InjectivityError(f"table repeats value {v}")
                 seen.add(v)
         # n distinct naturals whose maximum is n - 1 are exactly 0..n-1.
-        is_perm = high == len(table) - 1
+        is_perm = max(table, default=-1) == len(table) - 1
         if kind is None:
             kind = "permutation" if is_perm else "injection"
         if kind == "permutation" and not is_perm:

@@ -18,6 +18,7 @@ concrete function family together with its universal evaluator.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, groupby, repeat
@@ -252,6 +253,8 @@ class FamilyRegistry:
 
     def _run(self, index: int, x: int) -> Optional[tuple[int, int]]:
         """(value, steps) at x, or None on divergence or budget overrun."""
+        if not 0 <= index < len(self):
+            raise ValueError(f"program index {index} outside the registry [0, {len(self)})")
         result = self.programs[index].fn(x)
         if result is None or result[1] > self.budget:
             return None
@@ -428,10 +431,10 @@ class SigmaMap:
 
 
 def _diag_value(values, e: int):
-    try:
-        return values[e]
-    except (IndexError, KeyError):
-        raise ValueError(f"diagonal table has no value at index {e}") from None
+    if e >= 0:
+        with suppress(IndexError, KeyError):
+            return values[e]
+    raise ValueError(f"diagonal table has no value at index {e}")
 
 
 def p_bound(registry: FamilyRegistry, sigma_map: SigmaMap, values, n: int) -> int:

@@ -386,6 +386,19 @@ class TestWeakrepCommands:
         assert code == 0
         assert "0,0,1" in report["results"]["triples"]
 
+    @pytest.mark.parametrize("index", ["-1", "2"])
+    def test_of_program_refuses_an_index_outside_the_registry(self, capsys, tmp_path, index):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("identity\ndiverge\n")
+        code = main([
+            "weakrep", "of-program", "--manifest", str(manifest),
+            "--index", index, "--horizon", "3",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: program index {index} outside the registry [0, 2)\n"
+
     def test_interleave(self, capsys, tmp_path):
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("identity\nconst:5\n")

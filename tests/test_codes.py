@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from intdensity import (
@@ -22,13 +22,55 @@ from intdensity import (
     triple_code,
     triple_decode,
 )
-from intdensity.codes import _check_natural
+from intdensity.codes import _check_bits, _check_natural
 
 
 def shifted_set_decode(code):
     """finite_set_decode by one shift per bit: the definition, quadratic in the length."""
     _check_natural(code, "code")
     return frozenset(i for i in range(code.bit_length()) if code >> i & 1)
+
+
+def paired_prefix_free_decode(bits: str) -> tuple[int, int]:
+    """prefix_free_decode pair by pair: the definition, one loop step per pair."""
+    _check_bits(bits)
+    payload = []
+    pos = 0
+    while True:
+        group = bits[pos : pos + 2]
+        if len(group) < 2:
+            raise ValueError("truncated codeword: no end marker found")
+        pos += 2
+        if group == "01":
+            return int("1" + "".join(payload), 2), pos
+        if group == "00":
+            payload.append("0")
+        elif group == "11":
+            payload.append("1")
+        else:
+            raise ValueError(f"invalid bit pair {group!r} at offset {pos - 2}")
+
+
+def outcome(decode, bits):
+    """The decoder's result, or the type and text of its error."""
+    try:
+        return decode(bits)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def codeword_inputs(draw):
+    """A codeword with junk after it, cut short, or with a 10 pair at a drawn offset."""
+    word = prefix_free_code(draw(st.integers(1, 1 << 400)))
+    junk = draw(st.text("01", max_size=9))
+    kind = draw(st.sampled_from(["valid", "truncated", "bad pair"]))
+    if kind == "truncated":
+        return word[: draw(st.integers(0, len(word) - 1))]
+    if kind == "bad pair":
+        offset = 2 * draw(st.integers(0, len(word) // 2 - 1))
+        return word[:offset] + "10" + word[offset + 2 :] + junk
+    return word + junk
 
 
 class TestCantorPair:
@@ -158,6 +200,13 @@ class TestPrefixFreeCode:
             suffix = "".join(rng.choice("01") for _ in range(rng.randrange(6)))
             value, consumed = prefix_free_decode(word + suffix)
             assert value == n and consumed == len(word)
+
+    @given(st.one_of(codeword_inputs(), st.text("01", max_size=40), st.text("012 ", max_size=6)))
+    @example("")
+    @example("01")
+    @example("0011" * 5000 + "01")
+    def test_decode_matches_the_pair_by_pair_reading(self, bits):
+        assert outcome(prefix_free_decode, bits) == outcome(paired_prefix_free_decode, bits)
 
     def test_decode_rejects_malformed(self):
         with pytest.raises(ValueError):

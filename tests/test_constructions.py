@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from intdensity import (
     HorizonError,
@@ -31,7 +33,52 @@ from intdensity import (
     wct_target,
 )
 from intdensity.cli import main
+from intdensity.codes import string_decode
 from intdensity.constructions import format_guess_lines, load_guess_lines
+
+
+def merged_introreduce(codes) -> str:
+    """introreduce one character at a time: the definition."""
+    ordered = sorted(set(codes))
+    if not ordered:
+        raise ValueError("need at least one code")
+    bits: list[str] = []
+    sources: list[int] = []
+    for code in ordered:
+        sigma = string_decode(code)
+        for i, c in enumerate(sigma):
+            if i < len(bits):
+                if bits[i] != c:
+                    raise PrefixInconsistencyError(i, sources[i], code)
+            else:
+                bits.append(c)
+                sources.append(code)
+    return "".join(bits)
+
+
+def introreduce_outcome(reduce, codes):
+    """The merged bits, or the error's type, text and witness."""
+    try:
+        return reduce(codes)
+    except PrefixInconsistencyError as exc:
+        return type(exc), str(exc), exc.position, exc.first_code, exc.second_code
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def prefix_code_batches(draw):
+    """Codes of prefixes of one drawn string, with repeats and code 0, and
+    sometimes one code of that string with one bit flipped."""
+    source = draw(st.text("01", max_size=300))
+    lengths = draw(st.lists(st.integers(0, len(source)), max_size=12))
+    codes = [string_code(source[:k]) for k in lengths]
+    if source and draw(st.booleans()):
+        j = draw(st.integers(0, len(source) - 1))
+        flipped = source[:j] + "10"[int(source[j])] + source[j + 1 :]
+        code = string_code(flipped[: draw(st.integers(0, len(source)))])
+        codes.insert(draw(st.integers(0, len(codes))), code)
+    return codes
 
 
 class TestPrefixSet:
@@ -75,6 +122,14 @@ class TestIntroreduce:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             introreduce(set())
+
+    @given(prefix_code_batches())
+    @example(codes=[])
+    @example(codes=[0, 0])
+    @example(codes=[5, 0, 2, 5, 1])
+    def test_matches_the_character_by_character_merge(self, codes):
+        expected = introreduce_outcome(merged_introreduce, codes)
+        assert introreduce_outcome(introreduce, codes) == expected
 
     def test_recovers_prefix_from_any_consistent_batch(self):
         rng = random.Random(17)

@@ -4,9 +4,9 @@ Each sampler is read back through `Sampler.from_function`, which logs
 every value and raises InjectivityError on a repeat, and the image of a
 random domain prefix must have exactly as many elements as the prefix.
 
-`Sampler.from_table` proves a strictly increasing table injective by one
-scan for a descent; the check with a set of every value that it replaced
-is kept here, and both must accept and refuse the same tables alike.
+`Sampler.from_table` checks every table with the set of its values; that
+check is also written out here, and both must accept and refuse the same
+tables alike, with the same errors.
 """
 
 import random

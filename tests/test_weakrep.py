@@ -258,6 +258,8 @@ class TestInterleave:
         assert diagonal_avoid([7, 1, 9], 1) == 9
         with pytest.raises(ValueError):
             diagonal_avoid([7, 1, 9], 2)
+        with pytest.raises(ValueError, match="^diagonal table has no value at index -2$"):
+            diagonal_avoid([10, 11, 12, 13], -1)
 
 
 class TestImageSet:
@@ -440,6 +442,12 @@ class TestManifest:
         registry = parse_manifest(["identity", "# note", "", "const:7"], 32)
         assert len(registry) == 2
         assert registry.eval(1, 99) == 7
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_index_outside_the_registry_is_refused(self, index):
+        registry = parse_manifest(["identity", "const:7"], 32)
+        with pytest.raises(ValueError, match=rf"^program index {index} outside the registry \[0, 2\)$"):
+            registry.eval(index, 0)
 
     def test_bad_programs(self):
         for spec in ["nope", "const:-1", "slowid:0"]:
