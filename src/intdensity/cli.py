@@ -21,6 +21,7 @@ from time import perf_counter
 from . import constructions as cons
 from . import weakrep as wr
 from .codes import (
+    _check_natural,
     _int_field,
     _int_fields,
     cantor_pair,
@@ -105,7 +106,7 @@ def _run_density(args):
 
 def _run_prefix_set(args):
     stream = SetStream.from_spec(args.set, args.horizon)
-    if args.count > stream.horizon + 1:
+    if _check_natural(args.count, "--count") > stream.horizon + 1:
         raise ValueError(f"--count needs prefixes up to length {args.count - 1}")
     codes = [string_code(stream.prefix(k)) for k in range(args.count)]
     members = cons.prefix_set(stream)
@@ -217,7 +218,7 @@ def _run_trace(args):
 def _run_hits(args):
     sampler = parse_sampler(args.sampler)
     values = _read_values(args.values, args.values_file)
-    horizon = args.horizon if args.horizon is not None else len(values)
+    horizon = len(values) if args.horizon is None else _check_natural(args.horizon, "--horizon")
     hits = sorted(cons.hit_indices(sampler, values, args.q, horizon))
     checks = []
     for m, trace in zip(hits, cons._traces(sampler, args.q, hits)):
@@ -304,7 +305,7 @@ def _run_weakrep(args):
         return results, {"table": table.horizon}, checks
     # interleave
     derived = wr.interleave_family(registry)
-    grid = args.grid
+    grid = _check_natural(args.grid, "--grid")
     evals = [[derived.eval(d, x) for x in range(grid)] for d in range(len(derived))]
     checks = []
     for e in range(len(registry)):

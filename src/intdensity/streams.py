@@ -13,9 +13,9 @@ Each kind of set has one backend:
   `seed:` streams fill theirs on demand, only as far as a query needs.
   The fill computes thousands of bits per step (see `_SeededBits`), and
   every bit equals its per-index definition `splitmix64`;
-* rules call a membership function per bit, with closed-form counts and
-  selections where they have them: `full`, `evens`, `odds`, complements,
-  and `SetStream.from_function` (`prefix_set`, `image_stream`).
+* periodic patterns repeat one period: `full`, `evens` and `odds`;
+* rules call a membership function per bit: complements and
+  `SetStream.from_function` (`prefix_set`, `image_stream`).
 """
 
 from __future__ import annotations
@@ -82,31 +82,39 @@ def _horizon_error(index: int, horizon: int) -> HorizonError:
 
 
 class _Backend:
-    """Bit source; subclasses may provide faster counting, rendering and selection."""
+    """Bit source that reads one bit or gathers many; every other query is derived
+    from `gather`, and a backend overrides one only where it has a closed form."""
 
     def bit(self, index: int) -> int:
         raise NotImplementedError
-
-    def count_below(self, n: int) -> int:
-        return sum(self.bit(i) for i in range(n))
-
-    def prefix(self, n: int) -> str:
-        return "".join("1" if self.bit(i) else "0" for i in range(n))
-
-    def members_below(self, n: int) -> list[int]:
-        return [i for i in range(n) if self.bit(i)]
 
     def gather(self, indices: Sequence[int], bound: int) -> bytes:
         """The bits at the given in-horizon indices, all below bound, as 0/1 bytes."""
         return bytes(map(self.bit, indices))
 
+    def prefix(self, n: int) -> str:
+        return self.gather(range(n), n).translate(_BIT_CHARS).decode("ascii")
+
+    def members_below(self, n: int) -> list[int]:
+        return list(compress(range(n), self.gather(range(n), n)))
+
+    def _chunks(self, bound: int):
+        """(start, bits) for each _CHUNK-long piece [start, end) of [0, bound), in order."""
+        for start in range(0, bound, _CHUNK):
+            end = min(start + _CHUNK, bound)
+            yield start, self.gather(range(start, end), end)
+
+    def count_below(self, n: int) -> int:
+        return sum(bits.count(1) for _, bits in self._chunks(n))
+
     def kth_one(self, k: int, bound: int) -> Optional[int]:
-        found = 0
-        for i in range(bound):
-            if self.bit(i):
-                if found == k:
-                    return i
-                found += 1
+        # Count whole chunks in C and select only inside the one that holds the
+        # k-th one: a buffer filled on demand ends at most one chunk past it.
+        for start, bits in self._chunks(bound):
+            ones = bits.count(1)
+            if ones > k:
+                return next(islice(compress(range(start, bound), bits), k, None))
+            k -= ones
         return None
 
 
@@ -124,11 +132,13 @@ class _Members(_Backend):
     def members_below(self, n):
         return self._members[: bisect_left(self._members, n)]
 
-    def prefix(self, n):
-        bits = bytearray(n)
-        for member in self.members_below(n):
-            bits[member] = 1
-        return bits.translate(_BIT_CHARS).decode("ascii")
+    def gather(self, indices, bound):
+        if isinstance(indices, range) and indices.step == 1:  # members set in a zero buffer
+            bits, start = bytearray(len(indices)), indices.start
+            for member in self.members_below(indices.stop)[self.count_below(start) :]:
+                bits[member - start] = 1
+            return bits
+        return bytes(map(set(self.members_below(bound)).__contains__, indices))
 
     def kth_one(self, k, bound):
         if k < len(self._members) and self._members[k] < bound:
@@ -157,35 +167,13 @@ class _Buffered(_Backend):
         self._ensure(index + 1)
         return self._buf[index]
 
-    def count_below(self, n):
-        self._ensure(n)
-        return self._buf.count(1, 0, n)
-
-    def prefix(self, n):
-        self._ensure(n)
-        return self._buf[:n].translate(_BIT_CHARS).decode("ascii")
-
     def gather(self, indices, bound):
         self._ensure(bound)
-        if isinstance(indices, range) and indices.step > 0:  # a builtin's prefix: one slice
+        if isinstance(indices, range) and indices.step > 0:  # an ascending range: one slice
             return self._buf[indices.start : indices.stop : indices.step]
         if len(indices) < 2:  # itemgetter needs an index, and returns one bit bare
             return bytes(map(self._buf.__getitem__, indices))
         return bytes(itemgetter(*indices)(self._buf))
-
-    def kth_one(self, k, bound):
-        # Count whole chunks in C, filling one chunk at a time, and select
-        # only inside the chunk that holds the k-th one: the buffer ends at
-        # most one chunk past it, whatever the bound.
-        buf = self._buf
-        for start in range(0, bound, _CHUNK):
-            end = min(start + _CHUNK, bound)
-            self._ensure(end)
-            ones = buf.count(1, start, end)
-            if ones > k:
-                return next(islice(compress(range(start, end), buf[start:end]), k, None))
-            k -= ones
-        return None
 
 
 class _SeededBits(_Buffered):
@@ -252,27 +240,45 @@ class _SeededBits(_Buffered):
             start += n
 
 
-class _Rule(_Backend):
-    """Arbitrary deterministic membership rule, evaluated on every query, and
-    optionally the closed forms `count` (members below n) and `kth` (k-th member)."""
+class _Periodic(_Backend):
+    """The set whose bits repeat `pattern`; counts and selections are arithmetic on its period."""
 
-    def __init__(self, fn: Callable[[int], int], count: Callable[[int], int] = None,
-                 kth: Callable[[int], int] = None):
+    def __init__(self, pattern: bytes):
+        self._pattern = pattern
+        self._ones = list(compress(range(len(pattern)), pattern))  # one period's members
+
+    def bit(self, index):
+        return self._pattern[index % len(self._pattern)]
+
+    def gather(self, indices, bound):
+        pattern, period = self._pattern, len(self._pattern)
+        if isinstance(indices, range):  # the range's j-th index has bit cycle[j % period]
+            cycle = bytes(pattern[i % period] for i in indices[:period])
+            return cycle * (len(indices) // period) + cycle[: len(indices) % period]
+        return bytes(map(pattern.__getitem__, map(period.__rmod__, indices)))
+
+    def count_below(self, n):
+        periods, rest = divmod(n, len(self._pattern))
+        return periods * len(self._ones) + bisect_left(self._ones, rest)
+
+    def kth_one(self, k, bound):
+        periods, rest = divmod(k, len(self._ones))
+        pos = periods * len(self._pattern) + self._ones[rest]
+        return pos if pos < bound else None
+
+
+class _Rule(_Backend):
+    """Arbitrary deterministic membership rule, evaluated per bit, with an optional `count`."""
+
+    def __init__(self, fn: Callable[[int], int], count: Callable[[int], int] = None):
         self._fn = fn
         self._count = count
-        self._kth = kth
 
     def bit(self, index):
         return 1 if self._fn(index) else 0
 
     def count_below(self, n):
         return super().count_below(n) if self._count is None else self._count(n)
-
-    def kth_one(self, k, bound):
-        if self._kth is None:
-            return super().kth_one(k, bound)
-        pos = self._kth(k)
-        return pos if pos < bound else None
 
 
 class SetStream:
@@ -315,12 +321,8 @@ class SetStream:
         return self._backend.count_below(n)
 
     def prefix(self, n: int) -> str:
-        """The first n bits as a binary string.
-
-        Backends render it in bulk where they can: buffered streams slice
-        their byte buffer, member lists set their members in a zero buffer,
-        and either buffer is translated in one call.
-        """
+        """The first n bits as a binary string: the backend's gather of
+        [0, n), translated in one call."""
         if n < 0 or n > self._horizon:
             raise HorizonError(f"prefix length {n} outside [0, {self._horizon}]")
         return self._backend.prefix(n)
@@ -389,12 +391,9 @@ def _parse_spec(spec: str):
     """The backend of a spec other than `list:`, and its bit count if finite."""
     if spec == "empty":
         return _Members([]), None
-    if spec == "full":
-        return _Rule(lambda i: 1, lambda n: n, lambda k: k), None
-    if spec == "evens":
-        return _Rule(lambda i: 1 - (i & 1), lambda n: (n + 1) // 2, lambda k: 2 * k), None
-    if spec == "odds":
-        return _Rule(lambda i: i & 1, lambda n: n // 2, lambda k: 2 * k + 1), None
+    pattern = {"full": b"\x01", "evens": b"\x01\x00", "odds": b"\x00\x01"}.get(spec)
+    if pattern is not None:
+        return _Periodic(pattern), None
     if spec.startswith("seed:"):
         parts = spec.split(":")
         if len(parts) not in (2, 3):

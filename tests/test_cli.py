@@ -263,6 +263,10 @@ class TestRefusedInputs:
              "error: q must be >= 1"),
             (["hits", "--sampler", "identity", "--values", "0,0", "--q", "0"],
              "error: q must be >= 1"),
+            (["prefix-set", "--set", "evens", "--horizon", "10", "--count", "-3"],
+             "error: --count must be a natural number, got -3"),
+            (["hits", "--sampler", "identity", "--values", "0,1", "--q", "1", "--horizon", "-1"],
+             "error: --horizon must be a natural number, got -1"),
         ],
     )
     def test_exit_two_with_one_error_line(self, capsys, argv, message):
@@ -271,6 +275,15 @@ class TestRefusedInputs:
         assert captured.out == ""
         assert captured.err.startswith(message)
         assert captured.err.count("\n") == 1
+
+    def test_negative_interleave_grid(self, capsys, tmp_path):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("identity\nconst:5\n")
+        argv = ["weakrep", "interleave", "--manifest", str(manifest), "--grid", "-2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --grid must be a natural number, got -2\n"
 
     def test_dom_past_a_table_domain(self, capsys, tmp_path):
         table = tmp_path / "perm.csv"

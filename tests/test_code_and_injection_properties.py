@@ -42,7 +42,7 @@ from intdensity import (
     wct_target,
 )
 from intdensity.constructions import _wct_blocks, _wct_hits
-from intdensity.streams import _CHUNK, _Buffered
+from intdensity.streams import _CHUNK
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -262,9 +262,12 @@ def test_block_hits_match_preimage_hits_at_the_table(spec, hit_file, max_n, hori
         assert _wct_hits(SetStream.from_spec(spec, horizon), blocks) == expected
 
 
-@pytest.mark.parametrize("spec", ["seed:5", "file:{path}"])
+@pytest.mark.parametrize(
+    "spec", ["seed:5", "file:{path}", "evens", "full", pytest.param(f"list:{HIT_MEMBERS}", id="list")]
+)
 def test_block_hits_make_no_per_bit_calls(spec, hit_file, monkeypatch):
     source = SetStream.from_spec(spec.format(path=hit_file), 1000)
+    backend = type(source._backend)
     guesses = {n: wct_target(source, n) for n in range(1, 6)}
     guesses[3] = ""  # a fallback block, which lists its values
     blocks = _wct_blocks(guesses, 5)
@@ -272,12 +275,12 @@ def test_block_hits_make_no_per_bit_calls(spec, hit_file, monkeypatch):
     table = build_wct_injection(guesses, 5).table
     expected = preimage_hits(source, table, [factorial(n) for n in range(1, 6)])
     calls = [0]
-    per_bit = _Buffered.bit
+    per_bit = backend.bit
 
     def counted(self, index):
         calls[0] += 1
         return per_bit(self, index)
 
-    monkeypatch.setattr(_Buffered, "bit", counted)
+    monkeypatch.setattr(backend, "bit", counted)
     assert _wct_hits(source, blocks) == expected
     assert calls[0] == 0

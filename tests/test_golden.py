@@ -13,9 +13,10 @@ is a hit, once with 6 inputs and once with 3,000.
 
 A recorded file is the exact stdout of its invocation, `.csv` for CSV
 reports and `.json` otherwise; replacing one changes an expected output and
-needs a stated, reviewed reason in CHANGES.md.  Two recorded files are not cases
-here: `wct-seed42-nmax10` and `wct-seed42-p1_5-nmax10`, `wct --nmax 10`
-at p = 1/2 and 1/5, take seconds each, and CI compares them with the
+needs a stated, reviewed reason in CHANGES.md.  Three recorded files are not
+cases here: `wct-seed42-nmax10` and `wct-seed42-p1_5-nmax10`, `wct --nmax 10`
+at p = 1/2 and 1/5, take seconds each, and `wct-evens-nmax10`, the same on
+`evens`, reads 7.4M bits of a closed form; CI compares them with the
 installed entry point's output.
 """
 

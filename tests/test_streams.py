@@ -1,7 +1,10 @@
 """Streams: DSL forms, exact densities vs brute force, principal function."""
 
+import io
 import random
 import threading
+import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -15,9 +18,11 @@ from intdensity import (
     density_profile,
     image_stream,
     partial_density,
+    preimage_hits,
     principal_function,
     splitmix64,
 )
+from intdensity.cli import main
 
 FUZZ_SPECS = ["seed:1", "seed:2:p=1/3", "seed:99:p=3/4", "evens", "odds"]
 
@@ -213,6 +218,50 @@ class TestPrincipalFunction:
         members = stream.members_below(512)
         for j, pos in enumerate(members):
             assert principal_function(stream, j) == pos
+
+
+FAR = 10**12
+
+
+def traced_peak(call):
+    """call()'s result and the peak bytes that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestClosedFormsFarOut:
+    """`full`, `evens` and `odds` answer in O(1) time and memory at any index."""
+
+    @pytest.mark.parametrize(
+        "spec, count, kth, hits",
+        [
+            ("full", FAR, 10**11, [5, 10]),
+            ("evens", FAR // 2, 2 * 10**11, [3, 5]),
+            ("odds", FAR // 2, 2 * 10**11 + 1, [2, 5]),
+        ],
+    )
+    def test_counts_selections_and_hits(self, spec, count, kth, hits):
+        def queries():
+            stream = SetStream.from_spec(spec, 2 * FAR)
+            return (stream.count_below(FAR), principal_function(stream, 10**11),
+                    preimage_hits(stream, range(FAR, FAR + 10), [5, 10]))
+
+        results, peak = traced_peak(queries)
+        assert results == (count, kth, hits)
+        assert peak < 1 << 20
+
+    def test_density_of_a_far_shift(self):
+        argv = ["density", "--set", "evens", "--sampler", f"shift:{FAR}",
+                "--checkpoints", "10,1000", "--horizon", str(2 * FAR)]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code, peak = traced_peak(lambda: main(argv))
+        assert code == 0
+        assert '"values": [\n      "1/2",\n      "1/2"\n    ]' in out.getvalue()
+        assert peak < 1 << 20
 
 
 class TestPermutationStability:

@@ -3,14 +3,16 @@
 Each fast path is compared with the definition-level version it replaced,
 kept here: the per-child `startswith` scan of `build_prefix_tree`, the
 tuple-membership closure check of `PrefixTree`, the per-bit join of
-`SetStream.prefix`, the zero-padded `string_decode`, the per-character
-bit-string check, the membership closures of `graph_set` and `image_set`,
-the `find` loop of the buffered `kth_one` and its select from bit 0 (it
-now counts whole chunks and selects inside one), the per-character membership
-rule of `prefix_set`, the per-index `splitmix64` definition of seeded
-bits, per-checkpoint `preimage_partial_density` for `preimage_hits`, and
-the per-row `dominating_adversary` and `image_interval` calls that
-`adversary_rows` replaced in the `dom` command.
+`SetStream.prefix`, the per-bit `gather`, `count_below`, `prefix`,
+`members_below` and `kth_one` loops of the stream backends (each query is
+now derived from one bulk `gather`), the zero-padded `string_decode`, the
+per-character bit-string check, the membership closures of `graph_set` and
+`image_set`, the `find` loop of the buffered `kth_one` and its select from
+bit 0 (it now counts whole chunks and selects inside one), the
+per-character membership rule of `prefix_set`, the per-index `splitmix64`
+definition of seeded bits, per-checkpoint `preimage_partial_density` for
+`preimage_hits`, and the per-row `dominating_adversary` and
+`image_interval` calls that `adversary_rows` replaced in the `dom` command.
 """
 
 import random
@@ -50,7 +52,7 @@ from intdensity import (
 from intdensity import cli
 from intdensity.codes import _check_bits
 from intdensity.samplers import eval_sampler
-from intdensity.streams import _CHUNK, _GRANULE, _Buffered, _Members, _SeededBits
+from intdensity.streams import _CHUNK, _GRANULE, _Buffered, _Members, _Periodic, _SeededBits
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -264,6 +266,9 @@ BULK_RENDERED = [
     (_Buffered, lambda: SetStream.from_spec("seed:9", 10_000)),
     (_Members, lambda: SetStream.from_spec("list:1,5,77,2000,9999", 10_000)),
     (_Members, lambda: SetStream.from_members(range(3, 10_000, 4), 10_000)),
+    (_Periodic, lambda: SetStream.from_spec("evens", 10_000)),
+    (_Periodic, lambda: SetStream.from_spec("odds", 10_000)),
+    (_Periodic, lambda: SetStream.from_spec("full", 10_000)),
 ]
 
 
@@ -284,6 +289,64 @@ def test_bulk_rendering_makes_no_per_bit_calls(monkeypatch):
 
 
 # -- bulk queries of every backend ---------------------------------------------
+
+
+# The per-bit loops that every backend ran before its queries were derived
+# from one bulk `gather`; its `prefix` loop is `per_bit_prefix` above.
+
+
+def per_bit_gather(backend, indices, bound):
+    return bytes(map(backend.bit, indices))
+
+
+def per_bit_count_below(backend, n):
+    return sum(backend.bit(i) for i in range(n))
+
+
+def per_bit_members_below(backend, n):
+    return [i for i in range(n) if backend.bit(i)]
+
+
+def per_bit_kth_one(backend, k, bound):
+    found = 0
+    for i in range(bound):
+        if backend.bit(i):
+            if found == k:
+                return i
+            found += 1
+    return None
+
+
+PERIODIC = {"evens", "odds", "full"}
+FAR = 10**12
+
+
+@pytest.mark.parametrize("kind", sorted(STREAMS))
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(0, HORIZON), k=st.integers(0, HORIZON), data=st.data())
+def test_backend_queries_match_the_per_bit_loops(kind, stream_dir, n, k, data):
+    fast, slow = STREAMS[kind](stream_dir)._backend, STREAMS[kind](stream_dir)._backend
+    assert fast.count_below(n) == per_bit_count_below(slow, n)
+    assert fast.prefix(n) == per_bit_prefix(slow, n)
+    assert fast.members_below(n) == per_bit_members_below(slow, n)
+    assert fast.kth_one(k, n) == per_bit_kth_one(slow, k, n)
+    # A window [start, stop), read whole, by a step, and at listed indices;
+    # periodic streams are read far out, where a per-bit loop from 0 cannot go.
+    start = data.draw(st.integers(0, FAR if kind in PERIODIC else HORIZON))
+    stop = data.draw(st.integers(start, start + 3 * _CHUNK if kind in PERIODIC else HORIZON))
+    for step in (1, data.draw(st.integers(2, 5))):
+        window = range(start, stop, step)
+        assert fast.gather(window, stop) == per_bit_gather(slow, window, stop)
+    listed = data.draw(st.lists(st.integers(start, stop - 1), max_size=30)) if stop > start else []
+    bound = max(listed, default=0) + 1
+    assert fast.gather(listed, bound) == per_bit_gather(slow, listed, bound)
+    # Counts and selections inside the window, against the per-bit window.
+    bits = per_bit_gather(slow, range(start, stop), stop)
+    before = fast.count_below(start)
+    assert fast.count_below(stop) - before == bits.count(1)
+    j = data.draw(st.integers(0, len(bits)))
+    expected = select_from_bit_zero(bits, j, len(bits))
+    assert fast.kth_one(before + j, stop) == (None if expected is None else start + expected)
 
 
 def assert_same_queries(fast, slow, n, k):
