@@ -243,67 +243,60 @@ def _run_dom(args):
     return {"rows": rows}, {}, checks
 
 
+def _set_code(args) -> dict:
+    if args.members is None:
+        raise ValueError("setcode needs --members or --decode")
+    return {"code": finite_set_code(_ints(args.members))}
+
+
+# kind -> (encode, decode), each from the parsed arguments to the results;
+# decode runs when --decode is given.
+_CODECS = {
+    "k": (lambda a: {"code": prefix_free_code(a.n)},
+          lambda a: dict(zip(("n", "consumed"), prefix_free_decode(a.decode)))),
+    "c": (lambda a: {"code": fixed_width_code(a.n, a.x)},
+          lambda a: {"x": fixed_width_decode(a.n, a.decode)}),
+    "pair": (lambda a: {"code": cantor_pair(a.x, a.y)},
+             lambda a: dict(zip("xy", cantor_unpair(a.decode)))),
+    "string": (lambda a: {"code": string_code(a.encode)},
+               lambda a: {"bits": string_decode(a.decode)}),
+    "setcode": (_set_code, lambda a: {"members": sorted(finite_set_decode(a.decode))}),
+}
+
+
 def _run_codes(args):
-    kind = args.codes_kind
-    if kind == "k":
-        if args.decode is not None:
-            n, consumed = prefix_free_decode(args.decode)
-            results = {"n": n, "consumed": consumed}
-        else:
-            results = {"code": prefix_free_code(args.n)}
-    elif kind == "c":
-        if args.decode is not None:
-            results = {"x": fixed_width_decode(args.n, args.decode)}
-        else:
-            results = {"code": fixed_width_code(args.n, args.x)}
-    elif kind == "pair":
-        if args.decode is not None:
-            x, y = cantor_unpair(args.decode)
-            results = {"x": x, "y": y}
-        else:
-            results = {"code": cantor_pair(args.x, args.y)}
-    elif kind == "string":
-        if args.decode is not None:
-            results = {"bits": string_decode(args.decode)}
-        else:
-            results = {"code": string_code(args.encode)}
-    else:  # setcode
-        if args.decode is not None:
-            results = {"members": sorted(finite_set_decode(args.decode))}
-        elif args.members is None:
-            raise ValueError("setcode needs --members or --decode")
-        else:
-            results = {"code": finite_set_code(_ints(args.members))}
-    return results, {}, []
+    encode, decode = _CODECS[args.codes_kind]
+    return (encode if args.decode is None else decode)(args), {}, []
 
 
-def _run_weakrep(args):
-    kind = args.weakrep_kind
-    if kind == "validate":
-        with open(args.table_file) as fh:
-            table = wr.WeakRepTable.from_lines(fh, args.horizon)
-        report = wr.validate_weakrep(table)
-        checks = [
-            _check(
-                b.name,
-                b.passed,
-                b.detail if b.witness is None else {"witness": b.witness, "note": b.detail},
-            )
-            for b in report.bullets
-        ]
-        results = {"triples": len(table.triples)}
-        return results, {"table": table.horizon}, checks
+def _run_validate(args):
+    with open(args.table_file) as fh:
+        table = wr.WeakRepTable.from_lines(fh, args.horizon)
+    report = wr.validate_weakrep(table)
+    checks = [
+        _check(
+            b.name,
+            b.passed,
+            b.detail if b.witness is None else {"witness": b.witness, "note": b.detail},
+        )
+        for b in report.bullets
+    ]
+    return {"triples": len(table.triples)}, {"table": table.horizon}, checks
+
+
+def _run_of_program(args):
+    table = wr.table_of_program(_load_registry(args), args.index, args.horizon)
+    report = wr.validate_weakrep(table)
+    results = {
+        "triples": [f"{x},{y},{z}" for x, y, z in table.sorted_triples],
+        "count": len(table.triples),
+    }
+    checks = [_check(b.name, b.passed, b.detail) for b in report.bullets]
+    return results, {"table": table.horizon}, checks
+
+
+def _run_interleave(args):
     registry = _load_registry(args)
-    if kind == "of-program":
-        table = wr.table_of_program(registry, args.index, args.horizon)
-        report = wr.validate_weakrep(table)
-        results = {
-            "triples": [f"{x},{y},{z}" for x, y, z in table.sorted_triples],
-            "count": len(table.triples),
-        }
-        checks = [_check(b.name, b.passed, b.detail) for b in report.bullets]
-        return results, {"table": table.horizon}, checks
-    # interleave
     derived = wr.interleave_family(registry)
     grid = _check_natural(args.grid, "--grid")
     evals = [[derived.eval(d, x) for x in range(grid)] for d in range(len(derived))]
@@ -335,19 +328,112 @@ def _load_registry(args) -> wr.FamilyRegistry:
 
 
 # -- parser ------------------------------------------------------------------
+#
+# A command is (help, handler, arguments), or (help, kinds) when its kinds
+# are commands of their own.  An argument is (flag, add_argument options),
+# and a list of arguments is a required mutually exclusive group.
+
+_INT, _NEEDED, _NEEDED_INT = {"type": int}, {"required": True}, {"type": int, "required": True}
 
 
-def _add_value_source(p, flag: str, dest: str) -> None:
-    """Require exactly one of --<flag> (a comma list) and --<flag>-file."""
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument(f"--{flag}", dest=dest)
-    group.add_argument(f"--{flag}-file", dest=f"{dest}_file")
+def _source(flag: str, dest: str = None) -> list:
+    """Exactly one of --<flag> (a comma list) and --<flag>-file."""
+    dest = dest or flag
+    return [(f"--{flag}", {"dest": dest}), (f"--{flag}-file", {"dest": f"{dest}_file"})]
 
 
-def _add_registry(p) -> None:
-    """The program manifest and the step budget its programs run under."""
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--budget", type=int, default=64)
+# The program manifest and the step budget its programs run under.
+_REGISTRY = [("--manifest", _NEEDED), ("--budget", {"type": int, "default": 64})]
+
+_COMMANDS = {
+    "density": ("partial densities at checkpoints", _run_density, [
+        ("--set", _NEEDED), ("--checkpoints", _NEEDED), ("--horizon", _INT), ("--sampler", {}),
+        ("--direction", {"choices": ("preimage", "image"), "default": "preimage"}),
+    ]),
+    "prefix-set": ("codes of a stream's finite prefixes", _run_prefix_set, [
+        ("--set", _NEEDED), ("--horizon", _INT), ("--count", {"type": int, "default": 8}),
+    ]),
+    "tree-decode": ("bounded-width decoding tree", _run_tree_decode, [
+        [("--sampler", {}), ("--prefix-sampler-of", {})], ("--set-horizon", _INT),
+        ("--q", _NEEDED_INT), ("--full-height", {"type": int, "default": 1}),
+        ("--depth", _NEEDED_INT),
+    ]),
+    "introreduce": ("merge prefix codes back into bits", _run_introreduce, [_source("codes")]),
+    "wct": ("guess-driven injection densities", _run_wct, [
+        ("--set", _NEEDED), ("--horizon", _INT), ("--nmax", _NEEDED_INT),
+        [("--oracle-trace", {"action": "store_true"}), ("--trace-file", {})],
+        ("--include-table", {"action": "store_true"}),
+    ]),
+    "graph": ("graph of a function table as pair codes", _run_graph, [
+        _source("values"), ("--horizon", _INT),
+    ]),
+    "trace": ("candidate values read off a sampler image", _run_trace, [
+        ("--sampler", _NEEDED), ("--q", _NEEDED_INT), ("--n", _NEEDED_INT),
+    ]),
+    "hits": ("inputs whose graph point the sampler reaches", _run_hits, [
+        ("--sampler", _NEEDED), _source("values"), ("--q", _NEEDED_INT), ("--horizon", _INT),
+    ]),
+    "dom": ("adversary bound against a dominating table", _run_dom, [
+        ("--sampler", _NEEDED), _source("f-values", "values"), ("--q", _NEEDED_INT),
+        ("--nmax", _NEEDED_INT),
+    ]),
+    "codes": ("coding bijections", {
+        "k": ("self-delimiting integer code", _run_codes, [("--n", _INT), ("--decode", {})]),
+        "c": ("fixed-width code below n^2", _run_codes, [
+            ("--n", _NEEDED_INT), ("--x", _INT), ("--decode", {})]),
+        "pair": ("pairing bijection", _run_codes, [
+            ("--x", _INT), ("--y", _INT), ("--decode", _INT)]),
+        "string": ("length-lex string code", _run_codes, [("--encode", {}), ("--decode", _INT)]),
+        "setcode": ("canonical finite-set index", _run_codes, [
+            ("--members", {}), ("--decode", _INT)]),
+    }),
+    "weakrep": ("step-witness tables and registries", {
+        "validate": ("check the four table invariants", _run_validate, [
+            ("--table-file", _NEEDED), ("--horizon", _INT)]),
+        "of-program": ("table of a registry program", _run_of_program, [
+            *_REGISTRY, ("--index", _NEEDED_INT), ("--horizon", _NEEDED_INT)]),
+        "interleave": ("even/odd family duplication", _run_interleave, [
+            *_REGISTRY, ("--grid", {"type": int, "default": 8})]),
+    }),
+    "pset": ("graph-prefix codes at query-string bounds", _run_pset, [
+        _source("values"), *_REGISTRY, ("--sigma-file", _NEEDED), ("--checkpoints", _NEEDED),
+    ]),
+}
+
+
+class _Dispatch(argparse._SubParsersAction):
+    """Subparsers for the commands of `table`, each listed with its help.
+
+    A command's arguments are declared only when argparse dispatches to it,
+    just before its parser reads the rest of the command line, so a call
+    declares one command and its kind instead of all of them.
+    """
+
+    def __init__(self, option_strings, table, **kwargs):
+        super().__init__(option_strings, **kwargs)
+        self._undeclared = dict(table)
+        for name, (help_text, *_) in table.items():
+            self.add_parser(name, help=help_text)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]  # argparse has checked it against the choices
+        if name in self._undeclared:
+            _declare(self._name_parser_map[name], name, self._undeclared.pop(name))
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _declare(parser, name: str, command: tuple) -> None:
+    if len(command) == 2:
+        parser.add_subparsers(dest=f"{name}_kind", required=True, action=_Dispatch,
+                              table=command[1])
+        return
+    _, handler, arguments = command
+    for argument in arguments:
+        group = isinstance(argument, list)
+        target = parser.add_mutually_exclusive_group(required=True) if group else parser
+        for flag, options in argument if group else [argument]:
+            target.add_argument(flag, **options)
+    parser.set_defaults(handler=handler)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -356,132 +442,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Density-of-integer-sets experiments with exact arithmetic.",
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("density", help="partial densities at checkpoints")
-    p.add_argument("--set", required=True)
-    p.add_argument("--checkpoints", required=True)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--sampler")
-    p.add_argument("--direction", choices=("preimage", "image"), default="preimage")
-    p.set_defaults(handler=_run_density)
-
-    p = sub.add_parser("prefix-set", help="codes of a stream's finite prefixes")
-    p.add_argument("--set", required=True)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--count", type=int, default=8)
-    p.set_defaults(handler=_run_prefix_set)
-
-    p = sub.add_parser("tree-decode", help="bounded-width decoding tree")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--sampler")
-    group.add_argument("--prefix-sampler-of", dest="prefix_sampler_of")
-    p.add_argument("--set-horizon", dest="set_horizon", type=int)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--full-height", dest="full_height", type=int, default=1)
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(handler=_run_tree_decode)
-
-    p = sub.add_parser("introreduce", help="merge prefix codes back into bits")
-    _add_value_source(p, "codes", "codes")
-    p.set_defaults(handler=_run_introreduce)
-
-    p = sub.add_parser("wct", help="guess-driven injection densities")
-    p.add_argument("--set", required=True)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--nmax", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--oracle-trace", dest="oracle_trace", action="store_true")
-    group.add_argument("--trace-file", dest="trace_file")
-    p.add_argument("--include-table", dest="include_table", action="store_true")
-    p.set_defaults(handler=_run_wct)
-
-    p = sub.add_parser("graph", help="graph of a function table as pair codes")
-    _add_value_source(p, "values", "values")
-    p.add_argument("--horizon", type=int)
-    p.set_defaults(handler=_run_graph)
-
-    p = sub.add_parser("trace", help="candidate values read off a sampler image")
-    p.add_argument("--sampler", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_run_trace)
-
-    p = sub.add_parser("hits", help="inputs whose graph point the sampler reaches")
-    p.add_argument("--sampler", required=True)
-    _add_value_source(p, "values", "values")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--horizon", type=int)
-    p.set_defaults(handler=_run_hits)
-
-    p = sub.add_parser("dom", help="adversary bound against a dominating table")
-    p.add_argument("--sampler", required=True)
-    _add_value_source(p, "f-values", "values")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.set_defaults(handler=_run_dom)
-
-    p = sub.add_parser("codes", help="coding bijections")
-    codes_sub = p.add_subparsers(dest="codes_kind", required=True)
-    k = codes_sub.add_parser("k", help="self-delimiting integer code")
-    k.add_argument("--n", type=int)
-    k.add_argument("--decode")
-    k.set_defaults(handler=_run_codes)
-    c = codes_sub.add_parser("c", help="fixed-width code below n^2")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--x", type=int)
-    c.add_argument("--decode")
-    c.set_defaults(handler=_run_codes)
-    pair = codes_sub.add_parser("pair", help="pairing bijection")
-    pair.add_argument("--x", type=int)
-    pair.add_argument("--y", type=int)
-    pair.add_argument("--decode", type=int)
-    pair.set_defaults(handler=_run_codes)
-    st = codes_sub.add_parser("string", help="length-lex string code")
-    st.add_argument("--encode")
-    st.add_argument("--decode", type=int)
-    st.set_defaults(handler=_run_codes)
-    sc = codes_sub.add_parser("setcode", help="canonical finite-set index")
-    sc.add_argument("--members")
-    sc.add_argument("--decode", type=int)
-    sc.set_defaults(handler=_run_codes)
-
-    p = sub.add_parser("weakrep", help="step-witness tables and registries")
-    wr_sub = p.add_subparsers(dest="weakrep_kind", required=True)
-    v = wr_sub.add_parser("validate", help="check the four table invariants")
-    v.add_argument("--table-file", dest="table_file", required=True)
-    v.add_argument("--horizon", type=int)
-    v.set_defaults(handler=_run_weakrep)
-    of = wr_sub.add_parser("of-program", help="table of a registry program")
-    _add_registry(of)
-    of.add_argument("--index", type=int, required=True)
-    of.add_argument("--horizon", type=int, required=True)
-    of.set_defaults(handler=_run_weakrep)
-    il = wr_sub.add_parser("interleave", help="even/odd family duplication")
-    _add_registry(il)
-    il.add_argument("--grid", type=int, default=8)
-    il.set_defaults(handler=_run_weakrep)
-
-    p = sub.add_parser("pset", help="graph-prefix codes at query-string bounds")
-    _add_value_source(p, "values", "values")
-    _add_registry(p)
-    p.add_argument("--sigma-file", dest="sigma_file", required=True)
-    p.add_argument("--checkpoints", required=True)
-    p.set_defaults(handler=_run_pset)
-
+    parser.add_subparsers(dest="command", required=True, action=_Dispatch, table=_COMMANDS)
     return parser
 
 
 def _command_echo(args) -> str:
-    parts = [args.command]
-    for attr in ("codes_kind", "weakrep_kind"):
-        if getattr(args, attr, None):
-            parts.append(getattr(args, attr))
-    return " ".join(parts)
+    kind = vars(args).get(f"{args.command}_kind")
+    return args.command if kind is None else f"{args.command} {kind}"
 
 
 def _parameters(args) -> dict:
-    skip = {"handler", "command", "codes_kind", "weakrep_kind", "format"}
+    skip = {"handler", "command", f"{args.command}_kind", "format"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 

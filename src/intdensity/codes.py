@@ -19,6 +19,12 @@ def _check_natural(value: int, name: str) -> int:
     return value
 
 
+def _naturals(values) -> bool:
+    """Whether every value is an exact `int` >= 0: one check for a bulk path, whose
+    per-element fallback raises at the first bad value with the usual message."""
+    return set(map(type, values)) <= {int} and min(values, default=0) >= 0
+
+
 def _is_bits(text) -> bool:
     """Whether text is a string over {0,1}, checked in C.
 

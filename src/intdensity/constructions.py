@@ -16,12 +16,14 @@ from __future__ import annotations
 import io
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import chain, compress, islice, pairwise
-from math import factorial
+from itertools import chain, compress, count, islice, pairwise
+from math import factorial, isqrt
+from operator import add, itemgetter
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .codes import (
-    _data_lines, _int_field, _is_bits, cantor_pair, cantor_unpair, string_code, string_decode
+    _data_lines, _int_field, _is_bits, _naturals, cantor_pair, cantor_unpair, string_code,
+    string_decode,
 )
 from .errors import InjectivityError, InsufficientElementsError, PrefixInconsistencyError
 # eval_sampler is no longer called here; perfbench's tracer test checks the binding.
@@ -110,7 +112,7 @@ class PrefixTree:
                     raise ValueError(f"level {height} must be the full tree")
             elif len(level) > 2 * self.q:
                 raise ValueError(f"level {height} wider than {2 * self.q}")
-            if height and any(s[:-1] not in parents for s in level):
+            if height and not set(map(itemgetter(slice(None, -1)), level)) <= parents:
                 raise ValueError(f"level {height} is not prefix-closed")
             parents = set(level)
 
@@ -151,8 +153,11 @@ def build_prefix_tree(sampler: Sampler, q: int, full_height: int, depth: int) ->
     for height in range(full_height + 1, depth + 1):
         for sigma in strings[len(decoded) : 2 * q * height]:
             insort(decoded, sigma)
+        parents = levels[height - 1]
+        if height == full_height + 1:  # a full level: only parents of long enough strings count
+            parents = sorted({sigma[: height - 1] for sigma in decoded if len(sigma) >= height})
         kept = []
-        for parent in levels[height - 1]:
+        for parent in parents:
             for child in (parent + "0", parent + "1"):
                 extensions = bisect_left(decoded, child + "2") - bisect_left(decoded, child)
                 if extensions >= height:
@@ -381,7 +386,15 @@ def graph_members(values: Sequence[int], horizon: int) -> frozenset[int]:
     """The pair codes of the function's graph on [0, horizon)."""
     if horizon < 0 or horizon > len(values):
         raise ValueError("function table does not cover [0, horizon)")
-    return frozenset(cantor_pair(n, values[n]) for n in range(horizon))
+    return frozenset(_graph_codes(values, horizon))
+
+
+def _graph_codes(values: Sequence[int], n: int) -> list[int]:
+    """`cantor_pair(m, values[m])` for m < n, with one check of the values."""
+    head = values[:n]
+    if not _naturals(head):  # raises at the first bad value
+        return [cantor_pair(m, y) for m, y in enumerate(head)]
+    return [s * (s + 1) // 2 + y for s, y in zip(map(add, count(), head), head)]
 
 
 def graph_set(
@@ -411,16 +424,23 @@ def _traces(sampler: Sampler, q: int, steps: Sequence[int]) -> Iterator[set[int]
     if steps and steps[0] < 0:
         raise ValueError("n must be a natural number")
     values, error = sampler._read((steps[-1] + 1) * q if steps else 0)
+    seconds = None
+    if _naturals(values):  # cantor_unpair(z)[1] of every value, in one pass
+        roots = [(isqrt(8 * z + 1) - 1) // 2 for z in values]
+        seconds = [z - w * (w + 1) // 2 for z, w in zip(values, roots)]
     trace: set[int] = set()
     for start, stop in pairwise([0] + [(n + 1) * q for n in steps]):
         _check_interval(sampler, stop)
         if stop > len(values):
             raise error
-        try:
-            trace.update(cantor_unpair(v)[1] for v in values[start:stop])
-        except ValueError:  # raise for the bad value that comes first in the step's image set
-            [cantor_unpair(v) for v in set(values[:stop])]
-            raise
+        if seconds is not None:
+            trace.update(seconds[start:stop])
+        else:
+            try:
+                trace.update(cantor_unpair(v)[1] for v in values[start:stop])
+            except ValueError:  # raise for the bad value that comes first in the step's image set
+                [cantor_unpair(v) for v in set(values[:stop])]
+                raise
         yield trace
 
 
@@ -435,8 +455,8 @@ def hit_indices(sampler: Sampler, values: Sequence[int], q: int, horizon: int) -
         raise ValueError("function table does not cover [0, horizon)")
     image, error = sampler._read(horizon * q)
     first = dict(zip(reversed(image), range(len(image) - 1, -1, -1)))
-    rows = range(min(horizon, len(image) // q))
-    hits = {m for m in rows if first.get(cantor_pair(m, values[m]), horizon * q) < (m + 1) * q}
+    codes = _graph_codes(values, min(horizon, len(image) // q))
+    hits = {m for m, code in enumerate(codes) if first.get(code, horizon * q) < (m + 1) * q}
     if error is not None:
         raise error
     return hits

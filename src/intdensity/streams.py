@@ -14,8 +14,9 @@ Each kind of set has one backend:
   The fill computes thousands of bits per step (see `_SeededBits`), and
   every bit equals its per-index definition `splitmix64`;
 * periodic patterns repeat one period: `full`, `evens` and `odds`;
-* rules call a membership function per bit: complements and
-  `SetStream.from_function` (`prefix_set`, `image_stream`).
+* rules call a membership function per bit: `SetStream.from_function`
+  (`prefix_set`, `image_stream`); a complement is a rule that reads its
+  inner stream's bulk `gather` with 0 and 1 swapped.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ _CHUNK = 1 << 12
 # Render a 0/1 byte buffer as the characters "0"/"1", and back.
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 _CHAR_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -268,14 +270,22 @@ class _Periodic(_Backend):
 
 
 class _Rule(_Backend):
-    """Arbitrary deterministic membership rule, evaluated per bit, with an optional `count`."""
+    """Arbitrary deterministic membership rule, evaluated per bit, with an optional
+    `count` and an optional bulk `gather`."""
 
-    def __init__(self, fn: Callable[[int], int], count: Callable[[int], int] = None):
+    def __init__(self, fn: Callable[[int], int], count: Callable[[int], int] = None,
+                 gather: Callable[[Sequence[int], int], bytes] = None):
         self._fn = fn
         self._count = count
+        self._gather = gather
 
     def bit(self, index):
         return 1 if self._fn(index) else 0
+
+    def gather(self, indices, bound):
+        if self._gather is None:
+            return super().gather(indices, bound)
+        return self._gather(indices, bound)
 
     def count_below(self, n):
         return super().count_below(n) if self._count is None else self._count(n)
@@ -334,7 +344,8 @@ class SetStream:
 
     def complement(self) -> "SetStream":
         inner = self._backend
-        rule = _Rule(lambda i: 1 - inner.bit(i), lambda n: n - inner.count_below(n))
+        rule = _Rule(lambda i: 1 - inner.bit(i), lambda n: n - inner.count_below(n),
+                     lambda indices, bound: inner.gather(indices, bound).translate(_FLIP))
         return SetStream(rule, self._horizon, f"~({self._label})")
 
     @classmethod

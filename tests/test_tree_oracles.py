@@ -11,8 +11,12 @@ per-character bit-string check, the membership closures of `graph_set` and
 bit 0 (it now counts whole chunks and selects inside one), the
 per-character membership rule of `prefix_set`, the per-index `splitmix64`
 definition of seeded bits, per-checkpoint `preimage_partial_density` for
-`preimage_hits`, and the per-row `dominating_adversary` and
-`image_interval` calls that `adversary_rows` replaced in the `dom` command.
+`preimage_hits`, the per-row `dominating_adversary` and
+`image_interval` calls that `adversary_rows` replaced in the `dom` command,
+and the per-element `cantor_pair` and `cantor_unpair` calls of
+`graph_members`, `hit_indices` and `_traces`.  The scan also checks the
+first level past a tall full tree, where only parents of long enough
+decoded strings are tried.
 """
 
 import random
@@ -36,6 +40,7 @@ from intdensity import (
     cantor_pair,
     cantor_unpair,
     dominating_adversary,
+    graph_members,
     graph_set,
     hit_indices,
     image_interval,
@@ -51,7 +56,8 @@ from intdensity import (
 )
 from intdensity import cli
 from intdensity.codes import _check_bits
-from intdensity.samplers import eval_sampler
+from intdensity.constructions import _traces
+from intdensity.samplers import _check_interval, eval_sampler
 from intdensity.streams import _CHUNK, _GRANULE, _Buffered, _Members, _Periodic, _SeededBits
 
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -107,6 +113,36 @@ def table_samplers(draw):
 @given(case=table_samplers())
 def test_tree_matches_scan_on_tables(case):
     sampler, q, full_height, depth = case
+    tree = build_prefix_tree(sampler, q, full_height, depth)
+    assert tree.levels == scan_levels(sampler, q, full_height, depth)
+
+
+@st.composite
+def tall_tree_samplers(draw):
+    """(sampler, q, full_height, depth): full height 8 to 10, depth 1 to 3 past it,
+    and fewer codes than the full level has strings.
+
+    The codes mix random naturals with codes of strings that share a long
+    prefix with one of a few random stems, so that some parents keep children.
+    """
+    q = draw(st.integers(1, 3))
+    full_height = draw(st.integers(8, 10))
+    depth = full_height + draw(st.integers(1, 3))
+    stems = draw(st.lists(st.text("01", min_size=depth, max_size=depth), min_size=1, max_size=3))
+    near = st.builds(lambda stem, cut, tail: string_code(stem[:cut] + tail),
+                     st.sampled_from(stems), st.integers(full_height + 1, depth),
+                     st.text("01", max_size=4))
+    codes = st.one_of(near, near, near, st.integers(0, 4 << depth))
+    need = 2 * q * depth
+    return (Sampler.from_table(draw(st.lists(codes, min_size=need, max_size=need, unique=True)),
+                               "injection"), q, full_height, depth)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=tall_tree_samplers())
+def test_tree_past_a_tall_full_tree_matches_scan(case):
+    sampler, q, full_height, depth = case
+    assert 2 * q * depth < 1 << full_height
     tree = build_prefix_tree(sampler, q, full_height, depth)
     assert tree.levels == scan_levels(sampler, q, full_height, depth)
 
@@ -678,6 +714,83 @@ def test_dom_rows_match_per_row_adversaries(case):
                      q=q, nmax=nmax)
     with mock.patch.object(cli, "parse_sampler", lambda spec: sampler):
         same_outcome(lambda: cli._run_dom(args), lambda: per_row_dom(sampler, f_values, q, nmax))
+
+
+def per_element_graph_members(values, horizon):
+    if horizon < 0 or horizon > len(values):
+        raise ValueError("function table does not cover [0, horizon)")
+    return frozenset(cantor_pair(n, values[n]) for n in range(horizon))
+
+
+def per_element_hit_indices(sampler, values, q, horizon):
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if horizon > len(values):
+        raise ValueError("function table does not cover [0, horizon)")
+    image, error = sampler._read(horizon * q)
+    first = dict(zip(reversed(image), range(len(image) - 1, -1, -1)))
+    rows = range(min(horizon, len(image) // q))
+    hits = {m for m in rows if first.get(cantor_pair(m, values[m]), horizon * q) < (m + 1) * q}
+    if error is not None:
+        raise error
+    return hits
+
+
+def per_element_traces(sampler, q, steps):
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if steps and steps[0] < 0:
+        raise ValueError("n must be a natural number")
+    values, error = sampler._read((steps[-1] + 1) * q if steps else 0)
+    trace = set()
+    for start, stop in zip([0] + [(n + 1) * q for n in steps], [(n + 1) * q for n in steps]):
+        _check_interval(sampler, stop)
+        if stop > len(values):
+            raise error
+        try:
+            trace.update(cantor_unpair(v)[1] for v in values[start:stop])
+        except ValueError:
+            [cantor_unpair(v) for v in set(values[:stop])]
+            raise
+        yield set(trace)
+
+
+BAD_VALUES = st.sampled_from([-1, -40, True, False, 0.0, 2.5])
+
+
+@st.composite
+def pair_values(draw, min_size=0):
+    """Distinct naturals from 2 on, with a bad value at a drawn position half the time."""
+    values = draw(st.lists(st.integers(2, 300), min_size=min_size, max_size=30, unique=True))
+    if values and draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(BAD_VALUES)
+    return values
+
+
+@PROPERTY
+@given(values=pair_values(), data=st.data())
+def test_graph_members_match_per_element_pairs(values, data):
+    horizon = data.draw(st.integers(-1, len(values) + 1))
+    same_outcome(lambda: graph_members(values, horizon),
+                 lambda: per_element_graph_members(values, horizon))
+
+
+@PROPERTY
+@given(sampler=adversary_samplers(), values=pair_values(), data=st.data())
+def test_hit_indices_match_per_element_pairs(sampler, values, data):
+    q, horizon = data.draw(st.integers(1, 3)), data.draw(st.integers(0, len(values)))
+    same_outcome(lambda: hit_indices(sampler, values, q, horizon),
+                 lambda: per_element_hit_indices(sampler, values, q, horizon))
+
+
+@PROPERTY
+@given(table=pair_values(min_size=1), data=st.data())
+def test_traces_match_per_element_unpairs(table, data):
+    sampler = Sampler.from_function(table.__getitem__, "injection", domain_bound=len(table))
+    q = data.draw(st.integers(1, 3))
+    steps = sorted(data.draw(st.sets(st.integers(0, len(table)), max_size=5)))
+    same_outcome(lambda: [set(t) for t in _traces(sampler, q, steps)],
+                 lambda: list(per_element_traces(sampler, q, steps)))
 
 
 def test_hit_indices_checks_q_before_the_horizon():
