@@ -243,30 +243,30 @@ def _run_dom(args):
     return {"rows": rows}, {}, checks
 
 
-def _set_code(args) -> dict:
-    if args.members is None:
-        raise ValueError("setcode needs --members or --decode")
-    return {"code": finite_set_code(_ints(args.members))}
-
-
-# kind -> (encode, decode), each from the parsed arguments to the results;
-# decode runs when --decode is given.
+# kind -> (the options encoding needs, encode, decode), encode and decode each
+# from the parsed arguments to the results; decode runs when --decode is given.
 _CODECS = {
-    "k": (lambda a: {"code": prefix_free_code(a.n)},
+    "k": (("n",), lambda a: {"code": prefix_free_code(a.n)},
           lambda a: dict(zip(("n", "consumed"), prefix_free_decode(a.decode)))),
-    "c": (lambda a: {"code": fixed_width_code(a.n, a.x)},
+    "c": (("x",), lambda a: {"code": fixed_width_code(a.n, a.x)},
           lambda a: {"x": fixed_width_decode(a.n, a.decode)}),
-    "pair": (lambda a: {"code": cantor_pair(a.x, a.y)},
+    "pair": (("x", "y"), lambda a: {"code": cantor_pair(a.x, a.y)},
              lambda a: dict(zip("xy", cantor_unpair(a.decode)))),
-    "string": (lambda a: {"code": string_code(a.encode)},
+    "string": (("encode",), lambda a: {"code": string_code(a.encode)},
                lambda a: {"bits": string_decode(a.decode)}),
-    "setcode": (_set_code, lambda a: {"members": sorted(finite_set_decode(a.decode))}),
+    "setcode": (("members",), lambda a: {"code": finite_set_code(_ints(a.members))},
+                lambda a: {"members": sorted(finite_set_decode(a.decode))}),
 }
 
 
 def _run_codes(args):
-    encode, decode = _CODECS[args.codes_kind]
-    return (encode if args.decode is None else decode)(args), {}, []
+    needs, encode, decode = _CODECS[args.codes_kind]
+    if args.decode is not None:
+        return decode(args), {}, []
+    if any(getattr(args, name) is None for name in needs):
+        flags = " and ".join(f"--{name}" for name in needs)
+        raise ValueError(f"{args.codes_kind} needs {flags} or --decode")
+    return encode(args), {}, []
 
 
 def _run_validate(args):

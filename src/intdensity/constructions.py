@@ -367,9 +367,9 @@ def load_guess_lines(lines) -> dict[int, str]:
     """Parse a guess map from `n:<bitstring>` lines (blank and `#` lines ignored)."""
     guesses: dict[int, str] = {}
     for line in _data_lines(lines):
-        left, _, right = line.partition(":")
+        left, colon, right = line.partition(":")
         n = _int_field(left, line, "line")
-        if n < 1 or not _is_bits(right):
+        if n < 1 or not colon or not _is_bits(right):
             raise ValueError(f"bad guess line {line!r}")
         guesses[n] = right
     return guesses

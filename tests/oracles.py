@@ -1,0 +1,116 @@
+"""Definition-level oracles and Hypothesis strategies that several test modules share.
+
+Each fast path has one oracle, computed from the definition: one evaluation,
+one string or one bit at a time.  An oracle or strategy that one module uses
+lives in that module; the ones here serve more than one.  `outcome` turns a
+call into its result or its error, so that a fast path and its oracle are
+compared with one `==`, errors included.
+"""
+
+from hypothesis import strategies as st
+
+from intdensity import Sampler, cantor_pair, eval_sampler, string_code, string_decode
+
+
+def outcome(fn, *args, catch=Exception):
+    """`fn(*args)`, or the type, text and attributes of the error it raises.
+
+    Only errors of the `catch` types are turned into values; any other error
+    propagates and fails the test.  The attributes carry witnesses such as a
+    `PrefixInconsistencyError`'s position and codes.
+    """
+    try:
+        return fn(*args)
+    except catch as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+# -- oracles -------------------------------------------------------------------
+
+
+def scan_levels(sampler, q, full_height, depth):
+    """The tree's levels by rescanning every decoded string for every child."""
+    levels = [("",)]
+    for height in range(1, min(full_height, depth) + 1):
+        levels.append(tuple(s + b for s in levels[-1] for b in "01"))
+    decoded = []
+    for height in range(full_height + 1, depth + 1):
+        while len(decoded) < 2 * q * height:
+            decoded.append(string_decode(eval_sampler(sampler, len(decoded))))
+        kept = []
+        for parent in levels[height - 1]:
+            for child in (parent + "0", parent + "1"):
+                if sum(1 for tau in decoded if tau.startswith(child)) >= height:
+                    kept.append(child)
+        levels.append(tuple(kept))
+    return tuple(levels)
+
+
+def loop_adversary_rows(f_values, sampler, q, nmax):
+    """`adversary_rows` by its definition, one evaluation at a time."""
+    if nmax >= 0 and q < 1:
+        raise ValueError("q must be >= 1")
+    first = {}
+    top, rows, evaluated = -1, [], 0
+    for n in range(nmax + 1):
+        stop = (n + 1) * q
+        while evaluated <= stop:
+            value = eval_sampler(sampler, evaluated)
+            first.setdefault(value, evaluated)
+            top, evaluated = max(top, value), evaluated + 1
+        rows.append((1 + top, first.get(f_values[n], stop) < stop))
+    return rows
+
+
+# -- strategies ----------------------------------------------------------------
+
+
+@st.composite
+def table_samplers(draw):
+    """(sampler, q, full_height, depth) for a table of distinct codes.
+
+    The codes mix random naturals with codes of the prefixes of one random
+    string and of their one-bit flips, so that deep levels survive too.
+    """
+    q = draw(st.integers(1, 3))
+    full_height = draw(st.integers(0, 4))
+    depth = draw(st.integers(0, 12))
+    need = 2 * q * depth
+    base = draw(st.text("01", min_size=depth, max_size=depth))
+    near = [string_code(base[:k]) for k in range(depth + 1)]
+    near += [string_code(base[: k - 1] + "10"[int(base[k - 1])]) for k in range(1, depth + 1)]
+    codes = draw(
+        st.lists(
+            st.one_of(st.sampled_from(near), st.integers(0, 4 * need + (2 << depth))),
+            min_size=need,
+            max_size=need,
+            unique=True,
+        )
+    )
+    return Sampler.from_table(codes, "injection"), q, full_height, depth
+
+
+@st.composite
+def adversary_samplers(draw):
+    """A tree-test table, a table of pair codes <a, b> with small a and b, or a builtin."""
+    kind = draw(st.sampled_from(["tree-table", "pair-table", "builtin"]))
+    if kind == "tree-table":
+        return draw(table_samplers())[0]
+    if kind == "pair-table":  # <a, b> near input a, so that many inputs are hits
+        seconds = st.lists(st.lists(st.integers(0, 3), max_size=3, unique=True), max_size=14)
+        codes = [cantor_pair(a, b) for a, bs in enumerate(draw(seconds)) for b in bs]
+        return Sampler.from_table(codes, "injection")
+    k = draw(st.integers(0, 5))
+    return draw(st.sampled_from(
+        [Sampler.identity(), Sampler.double(), Sampler.shift(k), Sampler.swapblocks(k + 1)]
+    ))
+
+
+@st.composite
+def pair_values(draw, min_size=0):
+    """Distinct naturals from 2 on, with a bad value at a drawn position half the time."""
+    values = draw(st.lists(st.integers(2, 300), min_size=min_size, max_size=30, unique=True))
+    if values and draw(st.booleans()):
+        bad = st.sampled_from([-1, -40, True, False, 0.0, 2.5])
+        values[draw(st.integers(0, len(values) - 1))] = draw(bad)
+    return values

@@ -9,7 +9,6 @@ import json
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
 from math import factorial
 from time import perf_counter
 

@@ -267,6 +267,11 @@ class TestRefusedInputs:
              "error: --count must be a natural number, got -3"),
             (["hits", "--sampler", "identity", "--values", "0,1", "--q", "1", "--horizon", "-1"],
              "error: --horizon must be a natural number, got -1"),
+            (["codes", "k"], "error: k needs --n or --decode"),
+            (["codes", "c", "--n", "5"], "error: c needs --x or --decode"),
+            (["codes", "pair", "--x", "1"], "error: pair needs --x and --y or --decode"),
+            (["codes", "pair", "--y", "1"], "error: pair needs --x and --y or --decode"),
+            (["codes", "string"], "error: string needs --encode or --decode"),
         ],
     )
     def test_exit_two_with_one_error_line(self, capsys, argv, message):
@@ -467,7 +472,10 @@ class TestDataLines:
         (["trace", "--sampler", "table:{data}", "--q", "1", "--n", "0"], "x,2\n", "'x,2'"),
         (["graph", "--values-file", "{data}"], "0\nz\n", "'z'"),
         (["graph", "--values", "1,a"], "", "'1,a'"),
-    ], ids=["guess", "sigma", "table-field", "table-width", "csv", "values-file", "values-list"])
+        (["wct", "--set", "evens", "--horizon", "64", "--nmax", "3", "--trace-file", "{data}"],
+         "1:1\n2\n3:\n", "bad guess line '2'"),
+    ], ids=["guess", "sigma", "table-field", "table-width", "csv", "values-file", "values-list",
+            "guess-colon"])
     def test_malformed_integer_names_its_line(self, capsys, tmp_path, argv, text, quoted):
         data, manifest = tmp_path / "data.txt", tmp_path / "manifest.txt"
         data.write_text(text)

@@ -43,6 +43,7 @@ from intdensity import (
 )
 from intdensity.constructions import _wct_blocks, _wct_hits
 from intdensity.streams import _CHUNK
+from oracles import outcome
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -252,14 +253,10 @@ def test_block_hits_match_preimage_hits_at_the_table(spec, hit_file, max_n, hori
     table = build_wct_injection(guesses, max_n).table
     checkpoints = [factorial(n) for n in range(1, max_n + 1)]
     blocks = _wct_blocks(guesses, max_n)
-    try:
-        expected = preimage_hits(SetStream.from_spec(spec, horizon), table, checkpoints)
-    except HorizonError as exc:
-        with pytest.raises(HorizonError) as err:
-            _wct_hits(SetStream.from_spec(spec, horizon), blocks)
-        assert str(err.value) == str(exc)
-    else:
-        assert _wct_hits(SetStream.from_spec(spec, horizon), blocks) == expected
+    expected = outcome(preimage_hits, SetStream.from_spec(spec, horizon), table, checkpoints,
+                       catch=HorizonError)
+    got = outcome(_wct_hits, SetStream.from_spec(spec, horizon), blocks, catch=HorizonError)
+    assert got == expected
 
 
 @pytest.mark.parametrize(

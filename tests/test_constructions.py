@@ -35,6 +35,7 @@ from intdensity import (
 from intdensity.cli import main
 from intdensity.codes import string_decode
 from intdensity.constructions import format_guess_lines, load_guess_lines
+from oracles import outcome
 
 
 def merged_introreduce(codes) -> str:
@@ -54,16 +55,6 @@ def merged_introreduce(codes) -> str:
                 bits.append(c)
                 sources.append(code)
     return "".join(bits)
-
-
-def introreduce_outcome(reduce, codes):
-    """The merged bits, or the error's type, text and witness."""
-    try:
-        return reduce(codes)
-    except PrefixInconsistencyError as exc:
-        return type(exc), str(exc), exc.position, exc.first_code, exc.second_code
-    except ValueError as exc:
-        return type(exc), str(exc)
 
 
 @st.composite
@@ -128,8 +119,9 @@ class TestIntroreduce:
     @example(codes=[0, 0])
     @example(codes=[5, 0, 2, 5, 1])
     def test_matches_the_character_by_character_merge(self, codes):
-        expected = introreduce_outcome(merged_introreduce, codes)
-        assert introreduce_outcome(introreduce, codes) == expected
+        caught = (PrefixInconsistencyError, ValueError)
+        expected = outcome(merged_introreduce, codes, catch=caught)
+        assert outcome(introreduce, codes, catch=caught) == expected
 
     def test_recovers_prefix_from_any_consistent_batch(self):
         rng = random.Random(17)
@@ -292,8 +284,10 @@ class TestWctInjection:
         text = format_guess_lines(guesses)
         assert text == "1:1\n2:10\n5:\n"
         assert load_guess_lines(text.splitlines()) == guesses
-        with pytest.raises(ValueError):
-            load_guess_lines(["2:10x"])
+        for line in ["2:10x", "2"]:
+            with pytest.raises(ValueError) as err:
+                load_guess_lines(["1:1", line, "3:"])
+            assert str(err.value) == f"bad guess line {line!r}"
 
     def test_csv_export(self):
         injection = build_wct_injection({1: "10", 2: "1010"}, 2)

@@ -25,6 +25,7 @@ from intdensity import (
     image_interval,
     prefix_code_sampler,
 )
+from oracles import outcome
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -108,13 +109,6 @@ def set_checked_table(values):
     return "permutation" if is_perm else "injection", is_perm
 
 
-def table_outcome(check, table):
-    try:
-        return check(table)
-    except (ValueError, InjectivityError) as exc:
-        return type(exc), str(exc)
-
-
 def library_checked_table(table):
     kind = Sampler.from_table(table).kind
     try:
@@ -148,4 +142,6 @@ def checked_tables(draw):
 @example(table=[3, 1, 2, 2, 1])
 @example(table=[4, -1, 4])
 def test_from_table_checks_match_the_set_based_check(table):
-    assert table_outcome(library_checked_table, table) == table_outcome(set_checked_table, table)
+    caught = (ValueError, InjectivityError)
+    expected = outcome(set_checked_table, table, catch=caught)
+    assert outcome(library_checked_table, table, catch=caught) == expected

@@ -6,15 +6,15 @@ for tables, and `eval_sampler` one input at a time for any other sampler.  It
 must equal `[eval_sampler(s, j) for j in range(n)]` and raise what that loop
 raises, at the same first input.
 
-Every reader that now reads a prefix is checked against the per-input
-version it replaced, kept here verbatim apart from its name: the same result,
-or the same first error in type and text.  The samplers include programs
-wrapped by `Sampler.from_function` that fail at a chosen input, repeat a
-value, or return negative values, so that a reader's own errors and the
-sampler's interleave as they do in a per-input loop.
+Every reader of a prefix is checked against its definition, one evaluation
+at a time (some shared through `oracles.py`): the same result, or the same
+first error in type and text.  The samplers include programs wrapped by
+`Sampler.from_function` that fail at a chosen input, repeat a value, or
+return negative values, so that a reader's own errors and the sampler's
+interleave as they do in a per-input loop; readers of pair codes also see
+pair-code tables and values that are not naturals.
 """
 
-from bisect import bisect_left, insort
 from fractions import Fraction
 
 import pytest
@@ -37,8 +37,9 @@ from intdensity import (
     preimage_partial_density,
     trace_from_sampler,
 )
-from intdensity.codes import cantor_pair, cantor_unpair, string_decode
+from intdensity.codes import cantor_pair, cantor_unpair
 from intdensity.constructions import _traces
+from oracles import adversary_samplers, loop_adversary_rows, outcome, pair_values, scan_levels
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -85,21 +86,6 @@ def loop_dominating_adversary(f_values, sampler, q, n):
     return 1 + max(eval_sampler(sampler, j) for j in range((n + 1) * q + 1))
 
 
-def loop_adversary_rows(f_values, sampler, q, nmax):
-    if nmax >= 0 and q < 1:
-        raise ValueError("q must be >= 1")
-    first = {}
-    top, rows, evaluated = -1, [], 0
-    for n in range(nmax + 1):
-        stop = (n + 1) * q
-        while evaluated <= stop:
-            value = eval_sampler(sampler, evaluated)
-            first.setdefault(value, evaluated)
-            top, evaluated = max(top, value), evaluated + 1
-        rows.append((1 + top, first.get(f_values[n], stop) < stop))
-    return rows
-
-
 def loop_preimage_partial_density(stream, sampler, n):
     if n < 1:
         raise HorizonError("preimage density needs a checkpoint n >= 1")
@@ -115,33 +101,6 @@ def loop_image_count(stream, permutation, n):
     """`image_stream(stream, permutation).count_below(n)`, one bit at a time."""
     inv = permutation.inverse()
     return sum(stream.bit(eval_sampler(inv, i)) for i in range(n))
-
-
-def loop_tree_levels(sampler, q, full_height, depth):
-    """The levels `build_prefix_tree` grows, one evaluation at a time."""
-    levels = [[""]]
-    for height in range(1, min(full_height, depth) + 1):
-        levels.append([s + b for s in levels[-1] for b in "01"])
-    decoded = []
-    for height in range(full_height + 1, depth + 1):
-        while len(decoded) < 2 * q * height:
-            insort(decoded, string_decode(eval_sampler(sampler, len(decoded))))
-        kept = []
-        for parent in levels[height - 1]:
-            for child in (parent + "0", parent + "1"):
-                extensions = bisect_left(decoded, child + "2") - bisect_left(decoded, child)
-                if extensions >= height:
-                    kept.append(child)
-        levels.append(kept)
-    return tuple(tuple(level) for level in levels)
-
-
-def outcome(fn, *args):
-    """The result, or the type and text of the exception."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # every error must match, whatever its type
-        return type(exc), str(exc)
 
 
 # -- samplers -----------------------------------------------------------------
@@ -190,6 +149,26 @@ BUILTINS = st.sampled_from([Sampler.identity, Sampler.double]) | st.builds(
 )
 BULK = BUILTINS | tables()
 SAMPLERS = BULK | programs()
+# Tables of pair codes and the other samplers of the `dom` tests, as factories.
+ADVERSARY = adversary_samplers().map(lambda sampler: lambda: sampler)
+# Function tables of small values or of pair values, and a horizon up to two past the end.
+HIT_TABLES = (st.lists(st.integers(-1, 6), max_size=16) | pair_values()).flatmap(
+    lambda values: st.tuples(st.just(values), st.integers(0, len(values) + 2))
+)
+
+
+@st.composite
+def pair_programs(draw):
+    """A program that returns drawn pair values, naturals and a few that are not,
+    and steps up to one past its domain."""
+    table = draw(pair_values(min_size=1))
+    steps = sorted(draw(st.sets(st.integers(0, len(table)), max_size=5)))
+    return (lambda: Sampler.from_function(table.__getitem__, "injection", len(table))), steps
+
+
+TRACE_CASES = st.tuples(
+    SAMPLERS, st.lists(st.integers(0, 14), max_size=6, unique=True).map(sorted)
+) | pair_programs()
 
 
 # -- Sampler.prefix -----------------------------------------------------------
@@ -251,9 +230,11 @@ def test_trace_from_sampler(make, q, n):
 
 
 @PROPERTY
-@given(make=SAMPLERS, q=st.integers(1, 4),
-       steps=st.lists(st.integers(0, 14), max_size=6, unique=True).map(sorted))
-def test_traces_grow_one_set_through_the_steps(make, q, steps):
+@given(case=TRACE_CASES, q=st.integers(1, 4))
+@example(case=(lambda: Sampler.from_function([2, True].__getitem__, "injection", 2), [1]), q=1)
+def test_traces_grow_one_set_through_the_steps(case, q):
+    make, steps = case
+
     def each():
         return [loop_trace_from_sampler(make(), q, n) for n in steps]
 
@@ -264,11 +245,13 @@ def test_traces_grow_one_set_through_the_steps(make, q, steps):
 
 
 @PROPERTY
-@given(make=SAMPLERS, q=st.integers(0, 3),
-       values=st.lists(st.integers(-1, 6), max_size=16), cut=st.integers(0, 18))
+@given(make=SAMPLERS | ADVERSARY, q=st.integers(0, 3), table=HIT_TABLES)
 @example(make=lambda: Sampler.from_table([cantor_pair(j, 0) for j in range(6)]),
-         q=1, values=[0] * 6, cut=6)
-def test_hit_indices(make, q, values, cut):
+         q=1, table=([0] * 6, 6))
+@example(make=Sampler.identity, q=1, table=([2, True], 2))
+@example(make=Sampler.identity, q=1, table=([2, -1], 2))
+def test_hit_indices(make, q, table):
+    values, cut = table
     expected = outcome(loop_hit_indices, make(), values, q, cut)
     assert outcome(hit_indices, make(), values, q, cut) == expected
 
@@ -310,6 +293,6 @@ def test_image_stream_counts(make, n, horizon):
 @given(make=SAMPLERS, q=st.integers(1, 3), full_height=st.integers(0, 3),
        depth=st.integers(0, 6))
 def test_build_prefix_tree(make, q, full_height, depth):
-    expected = outcome(loop_tree_levels, make(), q, full_height, depth)
+    expected = outcome(scan_levels, make(), q, full_height, depth)
     got = outcome(lambda: build_prefix_tree(make(), q, full_height, depth).levels)
     assert got == expected

@@ -30,6 +30,7 @@ from intdensity import WeakRepTable, parse_manifest, table_of_program
 from intdensity.cli import _read_values
 from intdensity.codes import _data_lines, _int_field
 from intdensity.samplers import load_table_csv
+from oracles import outcome
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -64,14 +65,6 @@ def line_values(path) -> list[int]:
 
 def generator_data_lines(lines):
     return (line for line in map(str.strip, lines) if line and not line.startswith("#"))
-
-
-def outcome(fn, *args):
-    """The value, or the text of the ValueError."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return str(exc)
 
 
 NOISE = ["", "   ", "\t", "# note", "  # 1,2,3", "#"]
@@ -124,8 +117,8 @@ def data_path(tmp_path_factory):
 @example(text="0,1,x\n0,1\n", horizon=None)
 @example(text="0,1,2\n", horizon=-1)
 def test_table_lines_match_the_per_line_reader(text, horizon):
-    expected = outcome(line_table, io.StringIO(text), horizon)
-    table = outcome(WeakRepTable.from_lines, io.StringIO(text), horizon)
+    expected = outcome(line_table, io.StringIO(text), horizon, catch=ValueError)
+    table = outcome(WeakRepTable.from_lines, io.StringIO(text), horizon, catch=ValueError)
     assert table == expected
     if isinstance(table, WeakRepTable):
         assert table.horizon == expected.horizon
@@ -142,7 +135,8 @@ def test_table_lines_match_the_per_line_reader(text, horizon):
 @example(text="0,-4\n1,+7\n2,1_000\n")
 def test_table_csv_matches_the_per_line_reader(text, data_path):
     data_path.write_text(text)
-    assert outcome(load_table_csv, data_path) == outcome(line_table_csv, data_path)
+    expected = outcome(line_table_csv, data_path, catch=ValueError)
+    assert outcome(load_table_csv, data_path, catch=ValueError) == expected
 
 
 @PROPERTY
@@ -156,7 +150,8 @@ def test_table_csv_matches_the_per_line_reader(text, data_path):
 @example(text="1]\n[2\n")
 def test_values_file_matches_the_per_line_reader(text, data_path):
     data_path.write_text(text)
-    assert outcome(_read_values, None, data_path) == outcome(line_values, data_path)
+    expected = outcome(line_values, data_path, catch=ValueError)
+    assert outcome(_read_values, None, data_path, catch=ValueError) == expected
 
 
 # Blank lines, `#` lines, indented `#` lines and a `#` in mid-line.

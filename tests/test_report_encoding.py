@@ -15,16 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intdensity.cli import _dump_json
+from oracles import outcome
 
 PROPERTY = settings(max_examples=400, deadline=None)
-
-
-def outcome(fn, *args):
-    """The result, or the type and text of the exception."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # every error must match, whatever its type
-        return type(exc), str(exc)
 
 
 def indented(obj) -> str:

@@ -96,9 +96,14 @@ class TestTables:
             parse_sampler(f"table:{path}")
 
     def test_dsl_errors(self):
-        for spec in ["nope", "shift:x", "swapblocks:z"]:
-            with pytest.raises(ValueError):
+        for spec, text in [
+            ("nope", "unknown sampler spec 'nope'"),
+            ("shift:x", "bad integer 'x' in spec 'shift:x'"),
+            ("swapblocks:z", "bad integer 'z' in spec 'swapblocks:z'"),
+        ]:
+            with pytest.raises(ValueError) as err:
                 parse_sampler(spec)
+            assert str(err.value) == text
 
 
 class TestImageInterval:

@@ -27,10 +27,6 @@ from intdensity.cli import main
 FUZZ_SPECS = ["seed:1", "seed:2:p=1/3", "seed:99:p=3/4", "evens", "odds"]
 
 
-def brute_count(stream, n):
-    return sum(stream.bit(i) for i in range(n))
-
-
 class TestSpecDsl:
     def test_builtin_bits(self):
         evens = SetStream.from_spec("evens", 8)
@@ -119,11 +115,20 @@ class TestSpecDsl:
             assert stream.prefix(len(bits)) == bits
 
     def test_bad_specs(self):
-        for spec in ["nope", "seed:", "seed:1:p=2", "seed:1:q=1/2", "list:a,b"]:
-            with pytest.raises(ValueError):
+        for spec, text in [
+            ("nope", "unknown stream spec 'nope'"),
+            ("seed:", "bad integer '' in spec 'seed:'"),
+            ("seed:1:p=2", "bad probability clause in 'seed:1:p=2'"),
+            ("seed:1:q=1/2", "bad probability clause in 'seed:1:q=1/2'"),
+            ("seed:1:p=1/3:x", "bad seed spec 'seed:1:p=1/3:x'"),
+            ("list:a,b", "bad integer 'a' in spec 'list:a,b'"),
+        ]:
+            with pytest.raises(ValueError) as err:
                 SetStream.from_spec(spec, 8)
-        with pytest.raises(ValueError):
+            assert str(err.value) == text
+        with pytest.raises(ValueError) as err:
             SetStream.from_spec("evens")  # horizon required
+        assert str(err.value) == "stream spec 'evens' requires an explicit horizon"
 
 
 class TestPartialDensity:

@@ -1,22 +1,18 @@
 """Oracles for the fast paths of tree decoding and of the stream backends.
 
-Each fast path is compared with the definition-level version it replaced,
-kept here: the per-child `startswith` scan of `build_prefix_tree`, the
+Each fast path is compared with its definition-level version: the per-child
+`startswith` scan for `build_prefix_tree` (`scan_levels`, shared through
+`oracles.py`, which also checks the first level past a tall full tree), the
 tuple-membership closure check of `PrefixTree`, the per-bit join of
-`SetStream.prefix`, the per-bit `gather`, `count_below`, `prefix`,
-`members_below` and `kth_one` loops of the stream backends (each query is
-now derived from one bulk `gather`), the zero-padded `string_decode`, the
-per-character bit-string check, the membership closures of `graph_set` and
-`image_set`, the `find` loop of the buffered `kth_one` and its select from
-bit 0 (it now counts whole chunks and selects inside one), the
-per-character membership rule of `prefix_set`, the per-index `splitmix64`
-definition of seeded bits, per-checkpoint `preimage_partial_density` for
-`preimage_hits`, the per-row `dominating_adversary` and
-`image_interval` calls that `adversary_rows` replaced in the `dom` command,
-and the per-element `cantor_pair` and `cantor_unpair` calls of
-`graph_members`, `hit_indices` and `_traces`.  The scan also checks the
-first level past a tall full tree, where only parents of long enough
-decoded strings are tried.
+`SetStream.prefix`, the per-bit `gather`, `count_below`, `prefix` and
+`members_below` loops of the stream backends (each query is derived from one
+bulk `gather`), a select from bit 0 for every `kth_one`, the zero-padded
+`string_decode`, the per-character bit-string check, the membership closures
+of `graph_set` and `image_set`, the per-character membership rule of
+`prefix_set`, the per-index `splitmix64` definition of seeded bits,
+per-checkpoint `preimage_partial_density` for `preimage_hits`, the `dom`
+report built from the adversary rows one evaluation at a time, and
+per-element `cantor_pair` calls for `graph_members`.
 """
 
 import random
@@ -39,11 +35,9 @@ from intdensity import (
     build_prefix_tree,
     cantor_pair,
     cantor_unpair,
-    dominating_adversary,
     graph_members,
     graph_set,
     hit_indices,
-    image_interval,
     image_set,
     prefix_code_sampler,
     preimage_hits,
@@ -56,57 +50,21 @@ from intdensity import (
 )
 from intdensity import cli
 from intdensity.codes import _check_bits
-from intdensity.constructions import _traces
-from intdensity.samplers import _check_interval, eval_sampler
+from intdensity.samplers import eval_sampler
 from intdensity.streams import _CHUNK, _GRANULE, _Buffered, _Members, _Periodic, _SeededBits
+from oracles import (
+    adversary_samplers,
+    loop_adversary_rows,
+    outcome,
+    pair_values,
+    scan_levels,
+    table_samplers,
+)
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
 
-def scan_levels(sampler, q, full_height, depth):
-    """The tree's levels by rescanning every decoded string for every child."""
-    levels = [("",)]
-    for height in range(1, min(full_height, depth) + 1):
-        levels.append(tuple(s + b for s in levels[-1] for b in "01"))
-    decoded = []
-    for height in range(full_height + 1, depth + 1):
-        while len(decoded) < 2 * q * height:
-            decoded.append(string_decode(eval_sampler(sampler, len(decoded))))
-        kept = []
-        for parent in levels[height - 1]:
-            for child in (parent + "0", parent + "1"):
-                if sum(1 for tau in decoded if tau.startswith(child)) >= height:
-                    kept.append(child)
-        levels.append(tuple(kept))
-    return tuple(levels)
-
-
 # -- build_prefix_tree ------------------------------------------------------
-
-
-@st.composite
-def table_samplers(draw):
-    """(sampler, q, full_height, depth) for a table of distinct codes.
-
-    The codes mix random naturals with codes of the prefixes of one random
-    string and of their one-bit flips, so that deep levels survive too.
-    """
-    q = draw(st.integers(1, 3))
-    full_height = draw(st.integers(0, 4))
-    depth = draw(st.integers(0, 12))
-    need = 2 * q * depth
-    base = draw(st.text("01", min_size=depth, max_size=depth))
-    near = [string_code(base[:k]) for k in range(depth + 1)]
-    near += [string_code(base[: k - 1] + "10"[int(base[k - 1])]) for k in range(1, depth + 1)]
-    codes = draw(
-        st.lists(
-            st.one_of(st.sampled_from(near), st.integers(0, 4 * need + (2 << depth))),
-            min_size=need,
-            max_size=need,
-            unique=True,
-        )
-    )
-    return Sampler.from_table(codes, "injection"), q, full_height, depth
 
 
 @PROPERTY
@@ -238,16 +196,6 @@ def closure_image_set(f_values):
     return SetStream.from_function(member, values[-1] + 1, f"image[{len(values)}]")
 
 
-def find_loop_kth_one(buf, k, bound):
-    """Position of the k-th one below bound by k + 1 calls of `find`."""
-    pos = -1
-    for _ in range(k + 1):
-        pos = buf.find(1, pos + 1, bound)
-        if pos < 0:
-            return None
-    return pos
-
-
 def select_from_bit_zero(buf, k, bound):
     """Position of the k-th one below bound by one select over [0, bound)."""
     return next(islice(compress(range(bound), buf), k, None), None)
@@ -328,7 +276,8 @@ def test_bulk_rendering_makes_no_per_bit_calls(monkeypatch):
 
 
 # The per-bit loops that every backend ran before its queries were derived
-# from one bulk `gather`; its `prefix` loop is `per_bit_prefix` above.
+# from one bulk `gather`; its `prefix` loop is `per_bit_prefix` above, and a
+# k-th one is `select_from_bit_zero` over the per-bit gather.
 
 
 def per_bit_gather(backend, indices, bound):
@@ -343,16 +292,6 @@ def per_bit_members_below(backend, n):
     return [i for i in range(n) if backend.bit(i)]
 
 
-def per_bit_kth_one(backend, k, bound):
-    found = 0
-    for i in range(bound):
-        if backend.bit(i):
-            if found == k:
-                return i
-            found += 1
-    return None
-
-
 PERIODIC = {"evens", "odds", "full"}
 FAR = 10**12
 
@@ -365,7 +304,7 @@ def test_backend_queries_match_the_per_bit_loops(kind, stream_dir, n, k, data):
     assert fast.count_below(n) == per_bit_count_below(slow, n)
     assert fast.prefix(n) == per_bit_prefix(slow, n)
     assert fast.members_below(n) == per_bit_members_below(slow, n)
-    assert fast.kth_one(k, n) == per_bit_kth_one(slow, k, n)
+    assert fast.kth_one(k, n) == select_from_bit_zero(per_bit_gather(slow, range(n), n), k, n)
     # A window [start, stop), read whole, by a step, and at listed indices;
     # periodic streams are read far out, where a per-bit loop from 0 cannot go.
     start = data.draw(st.integers(0, FAR if kind in PERIODIC else HORIZON))
@@ -448,11 +387,11 @@ def test_graph_set_refuses_a_short_table():
 
 @PROPERTY
 @given(bits=st.lists(st.integers(0, 1), max_size=400), data=st.data())
-def test_buffered_kth_one_matches_the_find_loop(bits, data):
+def test_buffered_kth_one_matches_the_select(bits, data):
     buf = bytearray(bits)
     bound = data.draw(st.integers(0, len(bits)))
     k = data.draw(st.integers(0, bound + 1))
-    assert _Buffered(buf).kth_one(k, bound) == find_loop_kth_one(buf, k, bound)
+    assert _Buffered(buf).kth_one(k, bound) == select_from_bit_zero(buf, k, bound)
 
 
 @pytest.fixture(scope="module")
@@ -471,20 +410,18 @@ def test_file_kth_one_at_the_last_one_and_past_it(bits_path, length, seed, run, 
     stream = SetStream.from_spec(f"file:{bits_path}")
     buf, ones = bytearray(bits), sum(bits)
     for k in [ones - 1, data.draw(st.integers(0, ones - 1))] if ones else []:
-        expected = find_loop_kth_one(buf, k, length)
-        assert expected == select_from_bit_zero(buf, k, length)
-        assert principal_function(stream, k) == expected
+        assert principal_function(stream, k) == select_from_bit_zero(buf, k, length)
     with pytest.raises(InsufficientElementsError):
         principal_function(stream, ones)
 
 
 @PROPERTY
 @given(seed=st.integers(0, 2**64 - 1), num=st.integers(0, 4), data=st.data())
-def test_seeded_kth_one_matches_the_find_loop(seed, num, data):
+def test_seeded_kth_one_matches_the_select(seed, num, data):
     horizon = data.draw(st.integers(0, 3000))
     stream = SetStream.from_spec(f"seed:{seed}:p={num}/4", horizon)
     k = data.draw(st.integers(0, horizon))
-    expected = find_loop_kth_one(bytearray(map(int, stream.prefix(horizon))), k, horizon)
+    expected = select_from_bit_zero(bytearray(map(int, stream.prefix(horizon))), k, horizon)
     if expected is None:
         with pytest.raises(InsufficientElementsError):
             principal_function(stream, k)
@@ -584,7 +521,7 @@ def test_principal_function_fills_only_to_the_kth_one(spec):
     pos = principal_function(stream, k)
     buf = stream._backend._buf
     assert pos < len(buf) <= pos + _CHUNK
-    assert pos == find_loop_kth_one(buf, k, len(buf))
+    assert pos == select_from_bit_zero(buf, k, len(buf))
 
 
 # -- preimage_hits --------------------------------------------------------------
@@ -608,14 +545,10 @@ def test_preimage_hits_match_per_checkpoint_densities(spec, name, horizon, check
     sampler = HIT_SAMPLERS[name]()
     values = tuple(eval_sampler(sampler, j) for j in range(checkpoints[-1]))
     slow = SetStream.from_spec(spec, horizon)
-    try:
-        expected = [preimage_partial_density(slow, sampler, n) * n for n in checkpoints]
-    except HorizonError as exc:
-        with pytest.raises(HorizonError) as err:
-            preimage_hits(SetStream.from_spec(spec, horizon), values, checkpoints)
-        assert str(err.value) == str(exc)
-    else:
-        assert preimage_hits(SetStream.from_spec(spec, horizon), values, checkpoints) == expected
+    expected = outcome(lambda: [preimage_partial_density(slow, sampler, n) * n for n in checkpoints],
+                       catch=HorizonError)
+    fast = SetStream.from_spec(spec, horizon)
+    assert outcome(preimage_hits, fast, values, checkpoints, catch=HorizonError) == expected
 
 
 def test_preimage_hits_refuses_bad_arguments():
@@ -645,50 +578,23 @@ def test_preimage_hits_on_no_one_and_two_values(spec):
 # -- the adversary commands: dom and hit_indices -------------------------------
 
 
-def per_row_dom(sampler, f_values, q, nmax):
-    """The `dom` results and checks, recomputing the bound and image for every row."""
+# The errors that these commands refuse their inputs with; any other fails the test.
+CAUGHT = (ValueError, DomainError)
+
+
+def loop_dom(sampler, f_values, q, nmax):
+    """The `dom` results and checks, from the adversary rows one evaluation at a time."""
     if nmax >= len(f_values):
         raise ValueError("--nmax needs f values up to that index")
     rows = []
     checks = []
-    for n in range(nmax + 1):
-        bound = dominating_adversary(f_values, sampler, q, n)
-        hit = f_values[n] in image_interval(sampler, (n + 1) * q)
+    for n, (bound, hit) in enumerate(loop_adversary_rows(f_values, sampler, q, nmax)):
         rows.append({"n": n, "adversary": bound, "f": f_values[n], "hit": hit})
         if hit:
             checks.append(
                 cli._check(f"dominates_{n}", bound > f_values[n], f"{bound} > {f_values[n]}")
             )
     return {"rows": rows}, {}, checks
-
-
-@st.composite
-def adversary_samplers(draw):
-    """A tree-test table, a table of pair codes <a, b> with small a and b, or a builtin."""
-    kind = draw(st.sampled_from(["tree-table", "pair-table", "builtin"]))
-    if kind == "tree-table":
-        return draw(table_samplers())[0]
-    if kind == "pair-table":  # <a, b> near input a, so that many inputs are hits
-        seconds = st.lists(st.lists(st.integers(0, 3), max_size=3, unique=True), max_size=14)
-        codes = [cantor_pair(a, b) for a, bs in enumerate(draw(seconds)) for b in bs]
-        return Sampler.from_table(codes, "injection")
-    k = draw(st.integers(0, 5))
-    return draw(st.sampled_from(
-        [Sampler.identity(), Sampler.double(), Sampler.shift(k), Sampler.swapblocks(k + 1)]
-    ))
-
-
-def same_outcome(fast, slow):
-    """fast() returns what slow() returns, or raises the same error type and message."""
-    try:
-        expected = slow()
-    except (ValueError, DomainError) as exc:
-        with pytest.raises(type(exc)) as err:
-            fast()
-        assert str(err.value) == str(exc)
-        return None
-    assert fast() == expected
-    return expected
 
 
 @st.composite
@@ -713,7 +619,8 @@ def test_dom_rows_match_per_row_adversaries(case):
     args = Namespace(sampler="", values=",".join(map(str, f_values)), values_file=None,
                      q=q, nmax=nmax)
     with mock.patch.object(cli, "parse_sampler", lambda spec: sampler):
-        same_outcome(lambda: cli._run_dom(args), lambda: per_row_dom(sampler, f_values, q, nmax))
+        expected = outcome(loop_dom, sampler, f_values, q, nmax, catch=CAUGHT)
+        assert outcome(cli._run_dom, args, catch=CAUGHT) == expected
 
 
 def per_element_graph_members(values, horizon):
@@ -722,75 +629,12 @@ def per_element_graph_members(values, horizon):
     return frozenset(cantor_pair(n, values[n]) for n in range(horizon))
 
 
-def per_element_hit_indices(sampler, values, q, horizon):
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if horizon > len(values):
-        raise ValueError("function table does not cover [0, horizon)")
-    image, error = sampler._read(horizon * q)
-    first = dict(zip(reversed(image), range(len(image) - 1, -1, -1)))
-    rows = range(min(horizon, len(image) // q))
-    hits = {m for m in rows if first.get(cantor_pair(m, values[m]), horizon * q) < (m + 1) * q}
-    if error is not None:
-        raise error
-    return hits
-
-
-def per_element_traces(sampler, q, steps):
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if steps and steps[0] < 0:
-        raise ValueError("n must be a natural number")
-    values, error = sampler._read((steps[-1] + 1) * q if steps else 0)
-    trace = set()
-    for start, stop in zip([0] + [(n + 1) * q for n in steps], [(n + 1) * q for n in steps]):
-        _check_interval(sampler, stop)
-        if stop > len(values):
-            raise error
-        try:
-            trace.update(cantor_unpair(v)[1] for v in values[start:stop])
-        except ValueError:
-            [cantor_unpair(v) for v in set(values[:stop])]
-            raise
-        yield set(trace)
-
-
-BAD_VALUES = st.sampled_from([-1, -40, True, False, 0.0, 2.5])
-
-
-@st.composite
-def pair_values(draw, min_size=0):
-    """Distinct naturals from 2 on, with a bad value at a drawn position half the time."""
-    values = draw(st.lists(st.integers(2, 300), min_size=min_size, max_size=30, unique=True))
-    if values and draw(st.booleans()):
-        values[draw(st.integers(0, len(values) - 1))] = draw(BAD_VALUES)
-    return values
-
-
 @PROPERTY
 @given(values=pair_values(), data=st.data())
 def test_graph_members_match_per_element_pairs(values, data):
     horizon = data.draw(st.integers(-1, len(values) + 1))
-    same_outcome(lambda: graph_members(values, horizon),
-                 lambda: per_element_graph_members(values, horizon))
-
-
-@PROPERTY
-@given(sampler=adversary_samplers(), values=pair_values(), data=st.data())
-def test_hit_indices_match_per_element_pairs(sampler, values, data):
-    q, horizon = data.draw(st.integers(1, 3)), data.draw(st.integers(0, len(values)))
-    same_outcome(lambda: hit_indices(sampler, values, q, horizon),
-                 lambda: per_element_hit_indices(sampler, values, q, horizon))
-
-
-@PROPERTY
-@given(table=pair_values(min_size=1), data=st.data())
-def test_traces_match_per_element_unpairs(table, data):
-    sampler = Sampler.from_function(table.__getitem__, "injection", domain_bound=len(table))
-    q = data.draw(st.integers(1, 3))
-    steps = sorted(data.draw(st.sets(st.integers(0, len(table)), max_size=5)))
-    same_outcome(lambda: [set(t) for t in _traces(sampler, q, steps)],
-                 lambda: list(per_element_traces(sampler, q, steps)))
+    expected = outcome(per_element_graph_members, values, horizon, catch=CAUGHT)
+    assert outcome(graph_members, values, horizon, catch=CAUGHT) == expected
 
 
 def test_hit_indices_checks_q_before_the_horizon():

@@ -15,7 +15,6 @@ from intdensity import (
     HorizonError,
     InvalidTableError,
     Sampler,
-    SetStream,
     SigmaMap,
     WeakRepTable,
     build_pset,
@@ -450,8 +449,14 @@ class TestManifest:
             registry.eval(index, 0)
 
     def test_bad_programs(self):
-        for spec in ["nope", "const:-1", "slowid:0"]:
-            with pytest.raises(ValueError):
+        for spec, text in [
+            ("nope", "unknown program spec 'nope'"),
+            ("const:-1", "constant must be a natural number"),
+            ("slowid:0", "slowid step count must be >= 1"),
+        ]:
+            with pytest.raises(ValueError) as err:
                 builtin_program(spec)
-        with pytest.raises(ValueError):
+            assert str(err.value) == text
+        with pytest.raises(ValueError) as err:
             parse_manifest(["identity"], 0)
+        assert str(err.value) == "budget must be >= 1"

@@ -27,6 +27,7 @@ from intdensity import (
     validate_weakrep,
 )
 from intdensity.weakrep import BulletCheck, WeakRepReport, _diag_value, _passed
+from oracles import outcome
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -193,26 +194,12 @@ def test_eval_step_matches_scan(table, data):
     for _ in range(4):
         x = data.draw(st.integers(0, 6))
         z = data.draw(st.integers(0, table.horizon + 2))
-        assert step_outcome(eval_step, table, x, z) == step_outcome(scan_eval_step, table, x, z)
-
-
-def step_outcome(fn, *args):
-    """The value, or the table error's type and message."""
-    try:
-        return fn(*args)
-    except (HorizonError, InvalidTableError) as exc:
-        return type(exc), str(exc)
+        caught = (HorizonError, InvalidTableError)
+        expected = outcome(scan_eval_step, table, x, z, catch=caught)
+        assert outcome(eval_step, table, x, z, catch=caught) == expected
 
 
 # -- query-string bounds -----------------------------------------------------
-
-
-def outcome(fn, *args):
-    """The value, or the exception's type and message."""
-    try:
-        return fn(*args)
-    except (ValueError, LookupError) as exc:
-        return type(exc), str(exc)
 
 
 @st.composite
@@ -244,4 +231,5 @@ def sigma_cases(draw):
 @PROPERTY
 @given(case=sigma_cases())
 def test_p_bound_matches_oracle(case):
-    assert outcome(p_bound, *case) == outcome(oracle_p_bound, *case)
+    expected = outcome(oracle_p_bound, *case, catch=(ValueError, LookupError))
+    assert outcome(p_bound, *case, catch=(ValueError, LookupError)) == expected
