@@ -120,6 +120,8 @@ def _run_tree_decode(args):
     horizons = {}
     if args.prefix_sampler_of is not None:
         needed = 2 * args.q * args.depth
+        if args.set_horizon is None:  # the default horizon 2q*depth needs a valid tree shape
+            cons._check_tree_shape(args.q, args.full_height, args.depth)
         horizon = needed if args.set_horizon is None else args.set_horizon
         stream = SetStream.from_spec(args.prefix_sampler_of, horizon)
         sampler = cons.prefix_code_sampler(stream, needed)
@@ -533,8 +535,8 @@ def main(argv=None) -> int:
             text = _dump_json(report) + "\n"
         else:
             text = _emit_csv(report)
-    except (IntDensityError, ValueError, LookupError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (IntDensityError, ValueError, LookupError, OSError, MemoryError) as exc:
+        print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text)
     elapsed_ms = (perf_counter() - started) * 1000.0

@@ -20,9 +20,10 @@ def _check_natural(value: int, name: str) -> int:
 
 
 def _naturals(values) -> bool:
-    """Whether every value is an exact `int` >= 0: one check for a bulk path, whose
-    per-element fallback raises at the first bad value with the usual message."""
-    return set(map(type, values)) <= {int} and min(values, default=0) >= 0
+    """`_check_natural` in bulk: whether every value is an `int`, none a `bool`, and the
+    least >= 0.  A bulk path that finds this false falls back per element only to raise."""
+    kinds = set(map(type, values))
+    return all(issubclass(k, int) and k is not bool for k in kinds) and min(values, default=0) >= 0
 
 
 def _is_bits(text) -> bool:

@@ -120,6 +120,15 @@ class PrefixTree:
         return [len(level) for level in self.levels]
 
 
+def _check_tree_shape(q: int, full_height: int, depth: int) -> None:
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if full_height < 0 or depth < 0:
+        raise ValueError("heights must be naturals")
+    if min(full_height, depth) > _MAX_FULL_HEIGHT:
+        raise ValueError(f"full tree above height {_MAX_FULL_HEIGHT} is not materializable")
+
+
 def build_prefix_tree(sampler: Sampler, q: int, full_height: int, depth: int) -> PrefixTree:
     """Grow the candidate tree from a sampler's image.
 
@@ -131,13 +140,7 @@ def build_prefix_tree(sampler: Sampler, q: int, full_height: int, depth: int) ->
     "2" sorts after both digits, so the strings extending a child form the
     run [child, child + "2") of that order and two bisections count them.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if full_height < 0 or depth < 0:
-        raise ValueError("heights must be naturals")
-    if min(full_height, depth) > _MAX_FULL_HEIGHT:
-        raise ValueError(f"full tree above height {_MAX_FULL_HEIGHT} is not materializable")
-
+    _check_tree_shape(q, full_height, depth)
     levels = [[""]]
     for height in range(1, min(full_height, depth) + 1):
         levels.append([s + b for s in levels[-1] for b in "01"])
@@ -424,23 +427,18 @@ def _traces(sampler: Sampler, q: int, steps: Sequence[int]) -> Iterator[set[int]
     if steps and steps[0] < 0:
         raise ValueError("n must be a natural number")
     values, error = sampler._read((steps[-1] + 1) * q if steps else 0)
-    seconds = None
-    if _naturals(values):  # cantor_unpair(z)[1] of every value, in one pass
-        roots = [(isqrt(8 * z + 1) - 1) // 2 for z in values]
-        seconds = [z - w * (w + 1) // 2 for z, w in zip(values, roots)]
+    good = len(values) if _naturals(values) else [_naturals((v,)) for v in values].index(False)
+    # cantor_unpair(z)[1] of every value before the first non-natural, in one pass
+    roots = [(isqrt(8 * z + 1) - 1) // 2 for z in islice(values, good)]
+    seconds = [z - w * (w + 1) // 2 for z, w in zip(values, roots)]
     trace: set[int] = set()
     for start, stop in pairwise([0] + [(n + 1) * q for n in steps]):
         _check_interval(sampler, stop)
         if stop > len(values):
             raise error
-        if seconds is not None:
-            trace.update(seconds[start:stop])
-        else:
-            try:
-                trace.update(cantor_unpair(v)[1] for v in values[start:stop])
-            except ValueError:  # raise for the bad value that comes first in the step's image set
-                [cantor_unpair(v) for v in set(values[:stop])]
-                raise
+        if stop > good:  # raise for the bad value that comes first in the step's image set
+            [cantor_unpair(v) for v in set(values[:stop])]
+        trace.update(seconds[start:stop])
         yield trace
 
 

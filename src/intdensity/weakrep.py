@@ -26,8 +26,8 @@ from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from .codes import (
-    _data_lines, _int_field, _int_fields, _is_bits, cantor_pair, cantor_unpair, string_code,
-    string_decode, triple_code,
+    _data_lines, _int_field, _int_fields, _is_bits, _naturals, cantor_pair, cantor_unpair,
+    string_code, string_decode, triple_code,
 )
 from .constructions import graph_set
 from .errors import HorizonError, InvalidTableError
@@ -90,9 +90,7 @@ class WeakRepTable:
 
 
 def _check_components(parts: list) -> None:
-    """Triple components must be naturals: ints, not bools (the rule of codes._check_natural)."""
-    kinds = set(map(type, parts))
-    if bool in kinds or not all(issubclass(k, int) for k in kinds) or min(parts, default=0) < 0:
+    if not _naturals(parts):
         raise ValueError("triple components must be naturals")
 
 

@@ -272,14 +272,73 @@ class TestRefusedInputs:
             (["codes", "pair", "--x", "1"], "error: pair needs --x and --y or --decode"),
             (["codes", "pair", "--y", "1"], "error: pair needs --x and --y or --decode"),
             (["codes", "string"], "error: string needs --encode or --decode"),
+            (["density", "--set", "seed:1", "--checkpoints", ","],
+             "error: at least one checkpoint is required"),
+            (["density", "--set", "evens", "--checkpoints", "4", "--horizon", "-1"],
+             "error: horizon must be a natural number"),
+            (["density", "--set", "seed:18446744073709551616", "--checkpoints", "4"],
+             "error: seed must fit in 64 bits"),
+            (["density", "--set", "seed:1:p=3/2", "--checkpoints", "4"],
+             "error: probability must satisfy 0 <= num/den <= 1"),
+            (["dom", "--sampler", "shift:-1", "--f-values", "1", "--q", "1", "--nmax", "1"],
+             "error: shift amount must be a natural number"),
+            (["dom", "--sampler", "swapblocks:0", "--f-values", "1", "--q", "1", "--nmax", "1"],
+             "error: block size must be >= 1"),
+            (["prefix-set", "--set", "evens", "--horizon", "3", "--count", "9"],
+             "error: --count needs prefixes up to length 8"),
+            (["wct", "--set", "evens", "--horizon", "10", "--nmax", "0", "--oracle-trace"],
+             "error: max_n must be >= 1"),
+            (["wct", "--set", "evens", "--horizon", "100", "--nmax", "3",
+              "--trace-file", "trace.txt"],
+             "error: trace file lacks guesses for blocks [2, 3]"),
+            (["tree-decode", "--sampler", "identity", "--q", "1", "--depth", "-1"],
+             "error: heights must be naturals"),
+            (["weakrep", "of-program", "--manifest", "manifest.txt", "--index", "0",
+              "--horizon", "-1"],
+             "error: horizon must be a natural number"),
+            (["codes", "c", "--n", "3", "--decode", "1111"],
+             "error: decoded value 15 is not below n^2 = 9"),
+            (["tree-decode", "--prefix-sampler-of", "evens", "--q", "1", "--depth", "-2"],
+             "error: heights must be naturals"),
+            (["tree-decode", "--prefix-sampler-of", "evens", "--q", "-1", "--depth", "2"],
+             "error: q must be >= 1"),
         ],
     )
-    def test_exit_two_with_one_error_line(self, capsys, argv, message):
+    def test_exit_two_with_one_error_line(self, capsys, monkeypatch, tmp_path, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "trace.txt").write_text("1:1\n")
+        (tmp_path / "manifest.txt").write_text("identity\n")
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message)
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "shape",
+        [["--q", "0", "--depth", "2"], ["--q", "-1", "--depth", "2"], ["--q", "1", "--depth", "-2"],
+         ["--q", "1", "--depth", "2", "--full-height", "-1"],
+         ["--q", "1", "--full-height", "21", "--depth", "21"]],
+    )
+    def test_tree_decode_refuses_a_shape_alike_on_both_sampler_paths(self, capsys, shape):
+        errors = []
+        for source in (["--sampler", "identity"], ["--prefix-sampler-of", "evens"]):
+            assert main(["tree-decode", *source, *shape]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
+
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "density_profile", exhausted)
+        assert main(["density", "--set", "seed:1", "--checkpoints", "100000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
     def test_negative_interleave_grid(self, capsys, tmp_path):
         manifest = tmp_path / "manifest.txt"

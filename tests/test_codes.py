@@ -22,7 +22,7 @@ from intdensity import (
     triple_code,
     triple_decode,
 )
-from intdensity.codes import _check_bits, _check_natural
+from intdensity.codes import _check_bits, _check_natural, _naturals
 from oracles import outcome
 
 
@@ -50,6 +50,26 @@ def paired_prefix_free_decode(bits: str) -> tuple[int, int]:
             payload.append("1")
         else:
             raise ValueError(f"invalid bit pair {group!r} at offset {pos - 2}")
+
+
+class Natural(int):
+    """An `int` subclass, which `_check_natural` accepts like any `int`."""
+
+
+SINGLE_VALUES = [0, 7, Natural(3), True, False, -1, 0.0, 2.5, "3", None]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[]]
+    + [[value] for value in SINGLE_VALUES]
+    + [[0, 7, Natural(3)], [7, True], [False, 0], [0, -1], [Natural(3), 0.0], [2.5, 7],
+       ["3", 0], [7, None], [-1, "3"], SINGLE_VALUES],
+)
+def test_naturals_is_check_natural_in_bulk(values):
+    # _check_natural returns the value it accepts.
+    accepted = [outcome(_check_natural, v, "v", catch=ValueError) is v for v in values]
+    assert _naturals(values) == all(accepted)
 
 
 @st.composite

@@ -16,6 +16,7 @@ from intdensity import (
     PrefixTree,
     Sampler,
     SetStream,
+    WctInjection,
     build_prefix_tree,
     build_wct_injection,
     block_of,
@@ -182,6 +183,8 @@ class TestPrefixTree:
     def test_tree_contract_is_validated(self):
         with pytest.raises(ValueError):
             PrefixTree(q=1, full_height=0, depth=1, levels=((), ("0",)))
+        with pytest.raises(ValueError, match=r"^need one level per height 0\.\.depth$"):
+            PrefixTree(1, 0, 1, (("",),))
         with pytest.raises(ValueError):
             PrefixTree(
                 q=1, full_height=0, depth=1, levels=(("",), ("00", "01", "10"))
@@ -226,6 +229,8 @@ class TestWctTarget:
     def test_insufficient_elements(self):
         with pytest.raises(InsufficientElementsError):
             wct_target(SetStream.from_spec("evens", 6), 3)
+        with pytest.raises(ValueError, match="^block index must be >= 1$"):
+            wct_target(SetStream.from_spec("evens", 4), 0)
 
 
 class TestWctInjection:
@@ -238,6 +243,8 @@ class TestWctInjection:
 
     def test_blocks_partition_inputs(self):
         assert [block_of(j) for j in range(8)] == [1, 2, 3, 3, 3, 3, 4, 4]
+        with pytest.raises(ValueError, match="^j must be a natural number$"):
+            block_of(-1)
 
     def test_total_injective_for_arbitrary_guesses(self):
         rng = random.Random(23)
@@ -288,6 +295,10 @@ class TestWctInjection:
             with pytest.raises(ValueError) as err:
                 load_guess_lines(["1:1", line, "3:"])
             assert str(err.value) == f"bad guess line {line!r}"
+        with pytest.raises(ValueError, match="^guess for block 1 is not a bit string$"):
+            build_wct_injection({1: "2"}, 1)
+        with pytest.raises(ValueError, match=r"^table must cover \[0, max_n!\)$"):
+            WctInjection(2, (0,), {})
 
     def test_csv_export(self):
         injection = build_wct_injection({1: "10", 2: "1010"}, 2)

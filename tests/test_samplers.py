@@ -72,6 +72,9 @@ class TestTables:
     def test_permutation_kind_requires_bijection(self):
         with pytest.raises(ValueError):
             Sampler.from_table([0, 5], kind="permutation")
+        refusal = r"^kind must be injection or permutation, got 'bijection'$"
+        with pytest.raises(ValueError, match=refusal):
+            Sampler(lambda x: x, "bijection", "b")
 
     def test_identity_extension(self):
         s = Sampler.from_table([3, 0, 1, 2], domain_bound=100)
@@ -81,6 +84,8 @@ class TestTables:
     def test_extension_needs_closed_table(self):
         with pytest.raises(ValueError):
             Sampler.from_table([5, 6], domain_bound=100)
+        with pytest.raises(ValueError, match=r"^domain_bound smaller than the table$"):
+            Sampler.from_table([0, 1], domain_bound=1)
 
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "perm.csv"

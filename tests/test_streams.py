@@ -34,6 +34,7 @@ class TestSpecDsl:
         assert SetStream.from_spec("full", 4).prefix(4) == "1111"
         assert SetStream.from_spec("empty", 4).members_below(4) == []
         assert SetStream.from_spec("odds", 6).members_below(6) == [1, 3, 5]
+        assert repr(SetStream.from_spec("evens", 4)) == "SetStream('evens', horizon=4)"
 
     def test_seed_matches_documented_mixer(self):
         # independent reimplementation of the documented constants
@@ -145,6 +146,11 @@ class TestPartialDensity:
             partial_density(s, 9)
         with pytest.raises(HorizonError):
             s.bit(8)
+        s = SetStream.from_spec("evens", 4)
+        with pytest.raises(HorizonError, match=r"^count bound 5 outside \[0, 4\]$"):
+            s.count_below(5)
+        with pytest.raises(HorizonError, match=r"^bound 5 outside \[0, 4\]$"):
+            s.members_below(5)
 
     def test_agrees_with_brute_force_up_to_1e4(self):
         for spec in FUZZ_SPECS:
@@ -188,6 +194,13 @@ class TestDensityProfile:
             density_profile(s, [2, 50])
 
     def test_profile_validates_itself(self):
+        half = Fraction(1, 2)
+        with pytest.raises(ValueError, match="^profile needs one value per checkpoint, at least"):
+            DensityProfile((), (), half, half)
+        with pytest.raises(ValueError, match="^checkpoints must be strictly increasing$"):
+            DensityProfile((4, 2), (half, half), half, half)
+        with pytest.raises(ValueError, match="^observed_inf exceeds observed_sup$"):
+            DensityProfile((2, 4), (half, Fraction(1, 4)), Fraction(1, 4), half)
         with pytest.raises(ValueError):
             DensityProfile((2,), (Fraction(1, 3),), Fraction(1, 3), Fraction(1, 3))
         with pytest.raises(ValueError):
@@ -206,6 +219,8 @@ class TestPrincipalFunction:
             principal_function(SetStream.from_spec("empty", 64), 0)
         with pytest.raises(InsufficientElementsError):
             principal_function(SetStream.from_spec("evens", 10), 5)
+        with pytest.raises(ValueError, match="^element index must be a natural number$"):
+            principal_function(SetStream.from_spec("evens", 4), -1)
 
     def test_strictly_increasing_and_member(self):
         for spec in FUZZ_SPECS:

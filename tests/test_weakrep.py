@@ -73,6 +73,8 @@ class TestValidator:
         assert not bullet.passed
         first, second = bullet.witness
         assert first[0] == second[0] == 0 and {first[1], second[1]} == {1, 2}
+        with pytest.raises(KeyError):
+            report.bullet("nope")
         assert report.bullet("monotonicity").passed
 
     def test_downward_closure_failure(self):
@@ -303,6 +305,8 @@ class TestPsi:
         assert psi_eval({9}, 0, 10) == 3
         assert psi_eval({9}, 1, 10) is None
         assert psi_eval(graph_members([0, 1, 2], 3), 1, 5) == 1
+        with pytest.raises(ValueError, match="^x and budget must be naturals$"):
+            psi_eval([], -1, 0)
 
     def test_matches_naive_mu_search(self):
         def naive(codes, x, budget):
