@@ -42,7 +42,7 @@ from .streams import SetStream, _bounds, density_profile, preimage_hits
 SCHEMA_VERSION = 1
 
 # `wct --nmax 10` reads the stream up to its 10!-th one, 7.3M seeded bits at
-# p = 1/2: about 1.0-1.5 s and 71 MB, and 3.0-3.2 s and 316 MB with
+# p = 1/2: about 0.9-1.0 s and 65 MB, and 2.6-2.8 s and 312 MB with
 # --include-table, which lists all 10! = 3,628,800 values (CPython 3.11, one
 # core).  11! ones need about 80M bits at p = 1/2, and the table would be
 # eleven times longer, so the budget is 10! entries, checked before
@@ -159,24 +159,25 @@ def _run_wct(args):
             f"entries (n! at --nmax {_WCT_MAX_NMAX})"
         )
     stream = SetStream.from_spec(args.set, args.horizon)
-    truth = {n: cons.wct_target(stream, n) for n in range(1, args.nmax + 1)}
+    truth = [cons._wct_truth(stream, n) for n in range(1, args.nmax + 1)]
     if args.oracle_trace:
-        guesses = truth
+        masks = truth
     else:
         with open(args.trace_file) as fh:
             guesses = cons.load_guess_lines(fh)
         missing = [n for n in range(1, args.nmax + 1) if n not in guesses]
         if missing:
             raise ValueError(f"trace file lacks guesses for blocks {missing}")
-    blocks = cons._wct_blocks(guesses, args.nmax)  # raises if not injective
+        masks = cons._guess_masks(guesses, args.nmax)
+    blocks = cons._wct_blocks(masks)  # raises if not injective
     checkpoints = [factorial(n) for n in range(1, args.nmax + 1)]
     hits = cons._wct_hits(stream, blocks)
     rows = []
     checks = []
-    for n, (checkpoint, count) in enumerate(zip(checkpoints, hits), 1):
+    for n, (checkpoint, count, mask, true) in enumerate(zip(checkpoints, hits, masks, truth), 1):
         density = Fraction(count, checkpoint)
         bound = Fraction(n - 1, n)
-        matched = guesses[n] == truth[n]
+        matched = mask == true
         rows.append(
             {
                 "block": n,

@@ -28,7 +28,9 @@ from .codes import (
 from .errors import InjectivityError, InsufficientElementsError, PrefixInconsistencyError
 # eval_sampler is no longer called here; perfbench's tracer test checks the binding.
 from .samplers import Sampler, _check_interval, eval_sampler  # noqa: F401
-from .streams import _CHAR_BITS, SetStream, _Buffered, _horizon_error, principal_function
+from .streams import (
+    _BIT_CHARS, _CHAR_BITS, SetStream, _Buffered, _horizon_error, principal_function,
+)
 
 # A full tree of height h holds 2^(h+1) - 1 strings, and time and memory
 # double with every level: height 20 takes about 1.5 s and 290 MB
@@ -205,6 +207,11 @@ def wct_target(stream: SetStream, n: int) -> str:
     The returned string contains exactly n! ones, the positions of the
     set's first n! members.
     """
+    return _wct_truth(stream, n).translate(_BIT_CHARS).decode("ascii")
+
+
+def _wct_truth(stream: SetStream, n: int) -> bytes:
+    """`wct_target` as 0/1 bytes, read in one bulk gather."""
     if n < 1:
         raise ValueError("block index must be >= 1")
     try:
@@ -214,7 +221,7 @@ def wct_target(stream: SetStream, n: int) -> str:
             f"{stream.label} holds fewer than {factorial(n)} + 1 elements below "
             f"{stream.horizon}"
         ) from None
-    return stream.prefix(cutoff)
+    return stream._backend.gather(range(cutoff), cutoff)
 
 
 @dataclass(frozen=True)
@@ -250,7 +257,7 @@ def build_wct_injection(guesses: Mapping[int, str], max_n: int) -> WctInjection:
     was already used, the least value not yet assigned is taken instead,
     so the result is total and injective regardless of the guesses.
     """
-    table = _wct_table(_wct_blocks(guesses, max_n))
+    table = _wct_table(_wct_blocks(_guess_masks(guesses, max_n)))
     return WctInjection(max_n=max_n, table=table, guesses=dict(guesses))
 
 
@@ -274,22 +281,28 @@ class _WctBlock(NamedTuple):
     values: Optional[list[int]]
 
 
-def _wct_blocks(guesses: Mapping[int, str], max_n: int) -> list[_WctBlock]:
-    """The injection of `build_wct_injection`, block by block, proved injective.
-
-    Block n covers inputs [(n-1)!, n!).  Where the guess for block n has
-    its n! - (n-1)! ones from its (n-1)!-th one on, and no value in their
-    range is taken yet, it is a range block over the guess's 0/1 bytes;
-    otherwise it is a fallback block.
-    """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+def _guess_masks(guesses: Mapping[int, str], max_n: int) -> list[bytes]:
+    """The guesses for blocks 1..max_n, in order, as 0/1 bytes."""
     masks = []
     for n in range(1, max_n + 1):
-        guess = guesses[n]
-        if not _is_bits(guess):
+        if not _is_bits(guesses[n]):
             raise ValueError(f"guess for block {n} is not a bit string")
-        masks.append(guess.encode("ascii").translate(_CHAR_BITS))
+        masks.append(guesses[n].encode("ascii").translate(_CHAR_BITS))
+    return masks
+
+
+def _wct_blocks(masks: Sequence[bytes]) -> list[_WctBlock]:
+    """The injection of `build_wct_injection`, block by block, proved injective.
+
+    `masks[n - 1]` is the guess for block n as 0/1 bytes, and block n
+    covers inputs [(n-1)!, n!).  Where the guess for block n has its
+    n! - (n-1)! ones from its (n-1)!-th one on, and no value in their range
+    is taken yet, it is a range block over the guess's bytes; otherwise it
+    is a fallback block.
+    """
+    max_n = len(masks)
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
 
     # A value is a ones position or the least unassigned value, which is
     # below max_n! because fewer than max_n! values are ever assigned.
@@ -321,7 +334,7 @@ def _wct_blocks(guesses: Mapping[int, str], max_n: int) -> list[_WctBlock]:
 
     # Each value was unassigned when it was taken, so the values are distinct
     # exactly when max_n! of them are marked.
-    distinct = assigned.count(1)
+    distinct = _Buffered(assigned).count_below(size)
     if distinct != factorial(max_n):
         raise InjectivityError(
             f"the wct injection takes {distinct} distinct values on {factorial(max_n)} inputs"

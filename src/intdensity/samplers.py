@@ -17,7 +17,7 @@ from functools import partial
 from itertools import repeat
 from typing import Callable, Optional, Sequence
 
-from .codes import _int_field, _int_fields
+from .codes import _int_field, _int_fields, _naturals
 from .errors import DomainError, HorizonError, InjectivityError
 from .streams import SetStream, preimage_hits
 
@@ -131,7 +131,7 @@ class Sampler:
         the identity, which requires the table to map [0, len) onto itself.
         """
         table = tuple(values)
-        if min(table, default=0) < 0:
+        if not _naturals(table):
             raise ValueError("table values must be naturals")
         if len(set(table)) < len(table):
             seen: set[int] = set()

@@ -30,7 +30,7 @@ from itertools import compress, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .codes import _is_bits, _int_field
+from .codes import _is_bits, _int_field, _naturals
 from .errors import HorizonError, InsufficientElementsError
 
 # Seeded streams draw from a splitmix-style 64-bit mixer: output i is
@@ -44,7 +44,7 @@ _U64 = (1 << 64) - 1
 # A seeded buffer fills up to the first multiple of _GRANULE at or past
 # a request, never further.  One bulk step computes _CHUNK bits in _CHUNK
 # 128-bit lanes of one 64 KB int; steps of 2^14 lanes were no faster and
-# raised peak memory.
+# raised peak memory.  Counts read _CHUNK-bit chunks, by popcount.
 _GRANULE = 1024
 _CHUNK = 1 << 12
 
@@ -63,11 +63,11 @@ def splitmix64(seed: int, index: int) -> int:
 
 
 @cache
-def _lanes() -> tuple[int, int, int]:
-    """(steps, ones, low) over _CHUNK 128-bit lanes, built once by doubling.
+def _lanes() -> tuple[int, int, int, int]:
+    """(steps, ones, low, stride) over _CHUNK 128-bit lanes, built once by doubling.
 
-    Lane k of `steps` holds (k+1)*GAMMA mod 2^64, lane k of `ones` holds 1
-    and lane k of `low` holds 2^64 - 1.
+    Lane k of `steps` holds (k+1)*GAMMA mod 2^64, lane k of `ones` holds 1,
+    lane k of `low` holds 2^64 - 1 and lane k of `stride` holds _CHUNK*GAMMA mod 2^64.
     """
     steps, ones, width = SPLITMIX_GAMMA, 1, 1
     while width < _CHUNK:
@@ -76,7 +76,12 @@ def _lanes() -> tuple[int, int, int]:
         steps |= ((steps + stride * ones) & (ones * _U64)) << (128 * width)
         ones |= ones << (128 * width)
         width *= 2
-    return steps, ones, ones * _U64
+    return steps, ones, ones * _U64, ((_CHUNK * SPLITMIX_GAMMA) & _U64) * ones
+
+
+def _count_ones(bits) -> int:
+    """The 1s in 0/1 bytes: one popcount, with no branch to mispredict, unlike `bytes.count`."""
+    return int.from_bytes(bits, "little").bit_count()
 
 
 def _horizon_error(index: int, horizon: int) -> HorizonError:
@@ -107,13 +112,13 @@ class _Backend:
             yield start, self.gather(range(start, end), end)
 
     def count_below(self, n: int) -> int:
-        return sum(bits.count(1) for _, bits in self._chunks(n))
+        return sum(_count_ones(bits) for _, bits in self._chunks(n))
 
     def kth_one(self, k: int, bound: int) -> Optional[int]:
         # Count whole chunks in C and select only inside the one that holds the
         # k-th one: a buffer filled on demand ends at most one chunk past it.
         for start, bits in self._chunks(bound):
-            ones = bits.count(1)
+            ones = _count_ones(bits)
             if ones > k:
                 return next(islice(compress(range(start, bound), bits), k, None))
             k -= ones
@@ -181,11 +186,11 @@ class _Buffered(_Backend):
 class _SeededBits(_Buffered):
     """Bits of `seed:` specs, computed _CHUNK at a time in 128-bit lanes.
 
-    Lane k of a step holds the mixer input of bit start + k, and the
-    finalizer runs on all lanes of one Python int at once.  Every lane is
-    masked to 64 bits before each multiply, so a lane's product fits in
-    its 128 bits and no carry reaches the next lane.  Each bit equals
-    `splitmix64(seed, i) % den < num`.
+    Lane k of a step holds the mixer input of bit start + k, and the finalizer runs on
+    all lanes of one Python int at once; a step that starts where a full step ended adds
+    _CHUNK * GAMMA to that step's inputs.  Every lane is masked to 64 bits before each
+    multiply, so a lane's product fits in its 128 bits and no carry reaches the next
+    lane.  Each bit equals `splitmix64(seed, i) % den < num`.
     """
 
     def __init__(self, seed: int, num: int, den: int):
@@ -196,6 +201,7 @@ class _SeededBits(_Buffered):
         # Lane constants of a whole step, made by the first fill: rebuilding
         # them in every fill cost the wct bench about a tenth of its jobs per second.
         self._constants = None
+        self._stepped = (None, None)  # the start after the last full step, and its inputs
 
     def _fill(self, upto):
         seed, num, den = self._seed, self._num, self._den
@@ -208,14 +214,14 @@ class _SeededBits(_Buffered):
         # is constant (r < 2^64), so its addend is clamped to [0, 2^64].
         power = den & (den - 1) == 0 and den <= 1 << 64
         if self._constants is None:
-            steps, ones, low = _lanes()
+            steps, ones, low, _ = _lanes()
             if power:
                 extra = ((den - 1) * ones, num * ones)
             else:
                 extra = (min(num, 1 << 64) * ones, max(0, (1 << 64) - den) * ones,
                          max(0, (1 << 64) - den - num) * ones, ones << 64)
             self._constants = (steps, ones, low) + extra
-        shift, recip = den.bit_length() - 1, (1 << 64) // den
+        shift, recip, stride = den.bit_length() - 1, (1 << 64) // den, _lanes()[3]
         start = len(self._buf)
         while start < upto:
             n = min(_CHUNK, upto - start)
@@ -224,7 +230,12 @@ class _SeededBits(_Buffered):
                 mask = (1 << (128 * n)) - 1
                 lanes = [c & mask for c in lanes]
             steps, ones, low, *extra = lanes
-            z = (steps + ((seed + start * SPLITMIX_GAMMA) & _U64) * ones) & low
+            if self._stepped[0] == start:  # lane k moves on by the stride
+                z = (self._stepped[1] + stride) & low
+            else:
+                z = (steps + ((seed + start * SPLITMIX_GAMMA) & _U64) * ones) & low
+            if n == _CHUNK:
+                self._stepped = (start + n, z)
             z = (((z ^ (z >> 30)) & low) * _MIX_MUL_1) & low
             z = (((z ^ (z >> 27)) & low) * _MIX_MUL_2) & low
             z ^= z >> 31  # only the low 64 bits of each lane are read below
@@ -360,7 +371,7 @@ class SetStream:
         cls, members: Iterable[int], horizon: int, label: str = None
     ) -> "SetStream":
         ordered = sorted(set(members))
-        if ordered and ordered[0] < 0:
+        if not _naturals(ordered):
             raise ValueError("members must be naturals")
         if label is None:
             label = "list:" + ",".join(map(str, ordered))

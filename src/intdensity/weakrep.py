@@ -330,7 +330,7 @@ def image_set(f_values: Sequence[int]) -> SetStream:
     values = list(f_values)
     if not values:
         raise ValueError("function table must be nonempty")
-    if any(b <= a for a, b in zip(values, values[1:])) or values[0] < 0:
+    if not _naturals(values) or any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("function table must be strictly increasing over naturals")
     return SetStream.from_members(values, values[-1] + 1, f"image[{len(values)}]")
 

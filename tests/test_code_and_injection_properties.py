@@ -41,7 +41,7 @@ from intdensity import (
     triple_decode,
     wct_target,
 )
-from intdensity.constructions import _wct_blocks, _wct_hits
+from intdensity.constructions import _guess_masks, _wct_blocks, _wct_hits
 from intdensity.streams import _CHUNK
 from oracles import outcome
 
@@ -252,7 +252,7 @@ def test_block_hits_match_preimage_hits_at_the_table(spec, hit_file, max_n, hori
         guesses[n] = truth
     table = build_wct_injection(guesses, max_n).table
     checkpoints = [factorial(n) for n in range(1, max_n + 1)]
-    blocks = _wct_blocks(guesses, max_n)
+    blocks = _wct_blocks(_guess_masks(guesses, max_n))
     expected = outcome(preimage_hits, SetStream.from_spec(spec, horizon), table, checkpoints,
                        catch=HorizonError)
     got = outcome(_wct_hits, SetStream.from_spec(spec, horizon), blocks, catch=HorizonError)
@@ -267,7 +267,7 @@ def test_block_hits_make_no_per_bit_calls(spec, hit_file, monkeypatch):
     backend = type(source._backend)
     guesses = {n: wct_target(source, n) for n in range(1, 6)}
     guesses[3] = ""  # a fallback block, which lists its values
-    blocks = _wct_blocks(guesses, 5)
+    blocks = _wct_blocks(_guess_masks(guesses, 5))
     assert {values is None for *_, values in blocks} == {True, False}
     table = build_wct_injection(guesses, 5).table
     expected = preimage_hits(source, table, [factorial(n) for n in range(1, 6)])

@@ -94,9 +94,10 @@ def test_hand_built_wct_injection_with_a_repeat_is_rejected(max_n, data):
 
 
 def set_checked_table(values):
-    """(kind, is_perm) of a table by the set-based check of `from_table`, verbatim."""
+    """(kind, is_perm) of a table by the set-based check of `from_table`, with its
+    natural-number check per value."""
     table = tuple(values)
-    if min(table, default=0) < 0:
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in table):
         raise ValueError("table values must be naturals")
     if len(set(table)) < len(table):
         seen: set[int] = set()
@@ -141,6 +142,9 @@ def checked_tables(draw):
 @example(table=[0, 5, 5, 9])
 @example(table=[3, 1, 2, 2, 1])
 @example(table=[4, -1, 4])
+@example(table=[True, 0])
+@example(table=[2.5, 1])
+@example(table=[0, 1.0, 1])
 def test_from_table_checks_match_the_set_based_check(table):
     caught = (ValueError, InjectivityError)
     expected = outcome(set_checked_table, table, catch=caught)

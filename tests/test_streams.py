@@ -69,6 +69,10 @@ class TestSpecDsl:
         assert SetStream.from_spec("list:").horizon == 1
         with pytest.raises(ValueError):
             SetStream.from_spec("list:2,-1")
+        # Floats and bools are refused too, also where they equal naturals.
+        for members in [[2.5, 1], [1.0], [True, 0], [False], [3, 0.0]]:
+            with pytest.raises(ValueError, match="^members must be naturals$"):
+                SetStream.from_members(members, 4)
 
     def test_file_spec(self, tmp_path):
         path = tmp_path / "bits.txt"

@@ -524,6 +524,54 @@ def test_principal_function_fills_only_to_the_kth_one(spec):
     assert pos == select_from_bit_zero(buf, k, len(buf))
 
 
+# Requests that fill by one granule, a partial step up to a step boundary,
+# one bit past it, granule-aligned partial steps, and runs of full steps,
+# some in one fill and some a step per fill: a step that starts where a
+# full step ended moves that step's inputs on by one stride, and any other
+# step multiplies its inputs out.
+MIXED_ENSURES = [1, 1023, 4096, 4097, 3 * _GRANULE + 4096, 4 * 4096 + 2 * _GRANULE,
+                 6 * 4096 + 2 * _GRANULE, 7 * 4096 + 2 * _GRANULE, 8 * 4096 + 2 * _GRANULE,
+                 8 * 4096 + 3 * _GRANULE, 9 * 4096, 10 * 4096, 13 * 4096 + 1]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_fill_through_mixed_requests_matches_splitmix64(seed):
+    assert _CHUNK == 4096
+    words = [splitmix64(seed, i) for i in range(14 * _CHUNK)]
+    for den in [2, 4, 2**64, 5, 3**50]:
+        for num in sorted({1, den // 3, den - 1}):
+            backend = _SeededBits(seed, num, den)
+            for upto in MIXED_ENSURES:
+                backend._ensure(upto)
+                expected = bytes(w % den < num for w in words[: len(backend._buf)])
+                assert backend._buf == expected, (den, num, upto)
+
+
+# Counts and selects read whole chunks, so they are checked one bit below,
+# at and one bit past a chunk boundary, each in a fresh stream and all in
+# one stream that the earlier queries filled.
+COUNT_EDGES = [4095, 4096, 4097, 3 * _CHUNK]
+COUNT_SPECS = ["seed:3:p=0/1", "seed:3:p=1/1", "seed:3:p=1/2", "seed:3:p=1/5", "file:{path}"]
+
+
+@pytest.mark.parametrize("spec", COUNT_SPECS)
+def test_chunk_counts_and_selects_match_per_bit_loops(spec, bits_path):
+    bits_path.write_text("".join(random.Random(5).choice("01") for _ in range(3 * _CHUNK)))
+    spec = spec.format(path=bits_path)
+    horizon = 3 * _CHUNK
+    per_bit = SetStream.from_spec(spec, horizon)
+    bits = [per_bit.bit(i) for i in range(horizon)]
+    reused = SetStream.from_spec(spec, horizon)
+    for n in COUNT_EDGES:
+        count = sum(bits[:n])
+        for stream in (SetStream.from_spec(spec, horizon), reused):
+            assert stream.count_below(n) == count
+        for k in COUNT_EDGES:
+            expected = select_from_bit_zero(bits, k, n)
+            for stream in (SetStream.from_spec(spec, horizon), reused):
+                assert stream._backend.kth_one(k, n) == expected, (n, k)
+
+
 # -- preimage_hits --------------------------------------------------------------
 
 HIT_STREAMS = ["seed:7:p=2/5", "seed:3", "list:0,3,4,9,100,250,399,600", "evens", "full"]

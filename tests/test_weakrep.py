@@ -276,6 +276,10 @@ class TestImageSet:
             image_set([3, 3, 4])
         with pytest.raises(ValueError):
             image_set([])
+        # Floats and bools are refused too, also where they equal naturals.
+        for values in [[False, 1], [True], [0, 2.5], [1.0, 2], [0, 1, 2.0]]:
+            with pytest.raises(ValueError, match="^function table must be strictly increasing"):
+                image_set(values)
 
 
 class TestDominatingAdversary:
