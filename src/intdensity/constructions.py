@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, count, islice, pairwise
 from math import factorial, isqrt
 from operator import add, itemgetter
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .codes import (
     _data_lines, _int_field, _is_bits, _naturals, cantor_pair, cantor_unpair, string_code,
@@ -29,7 +29,8 @@ from .errors import InjectivityError, InsufficientElementsError, PrefixInconsist
 # eval_sampler is no longer called here; perfbench's tracer test checks the binding.
 from .samplers import Sampler, _check_interval, eval_sampler  # noqa: F401
 from .streams import (
-    _BIT_CHARS, _CHAR_BITS, SetStream, _Buffered, _horizon_error, principal_function,
+    _BIT_CHARS, _CHAR_BITS, _FLIP, SetStream, _Buffered, _count_ones, _horizon_error,
+    principal_function,
 )
 
 # A full tree of height h holds 2^(h+1) - 1 strings, and time and memory
@@ -267,18 +268,13 @@ def _free(assigned: bytearray, first: int, last: int) -> bool:
 
 
 class _WctBlock(NamedTuple):
-    """The values of the wct injection on one block of inputs, in input order.
+    """The values of the wct injection on one block of inputs, in input order:
+    the ones of the 0/1 bytes `mask` in [first, last), then the values `tail`."""
 
-    A range block is the ones of the 0/1 bytes `mask` in [first, last),
-    and its `values` is None.  A fallback block lists its `values`, its
-    `mask` is None, and [first, last) is their least and greatest value
-    plus one.
-    """
-
-    mask: Optional[bytes]
+    mask: bytes
     first: int
     last: int
-    values: Optional[list[int]]
+    tail: list[int]
 
 
 def _guess_masks(guesses: Mapping[int, str], max_n: int) -> list[bytes]:
@@ -295,10 +291,10 @@ def _wct_blocks(masks: Sequence[bytes]) -> list[_WctBlock]:
     """The injection of `build_wct_injection`, block by block, proved injective.
 
     `masks[n - 1]` is the guess for block n as 0/1 bytes, and block n
-    covers inputs [(n-1)!, n!).  Where the guess for block n has its
-    n! - (n-1)! ones from its (n-1)!-th one on, and no value in their range
-    is taken yet, it is a range block over the guess's bytes; otherwise it
-    is a fallback block.
+    covers inputs [(n-1)!, n!).  Its range runs over the guess's ones from
+    its (n-1)!-th one on, up to its (n!-1)-th one or its first one that an
+    earlier input took; past a clash its preferred values are taken one at a
+    time, and the values it lacks are the least ones not yet taken.
     """
     max_n = len(masks)
     if max_n < 1:
@@ -309,28 +305,40 @@ def _wct_blocks(masks: Sequence[bytes]) -> list[_WctBlock]:
     size = max([factorial(max_n)] + [len(mask) for mask in masks])
     assigned = bytearray(size)
     blocks = []
-    next_free = 0
+    next_free = 0  # every value below it is taken
     for n, mask in enumerate(masks, 1):
         low, high = factorial(n - 1) if n > 1 else 0, factorial(n)
         # The block's first and last preferred values, by chunk-local selects.
         ones = _Buffered(mask)
         first = ones.kth_one(low, len(mask))
         end = None if first is None else ones.kth_one(high - 1, len(mask))
-        if end is not None and _free(assigned, first, end + 1):
-            assigned[first : end + 1] = mask[first : end + 1]
-            blocks.append(_WctBlock(mask, first, end + 1, None))
-            continue
-        preferred = []
-        if first is not None:
-            ones_on = compress(range(first, len(mask)), memoryview(mask)[first:])
-            preferred = list(islice(ones_on, high - low))
-        values = []
-        for value in preferred + [None] * (high - low - len(preferred)):
-            if value is None or assigned[value]:
+        if first is None:
+            first = last = 0
+        else:  # past the block's preferred values
+            last = len(mask) if end is None else end + 1
+        if _free(assigned, first, last):
+            assigned[first:last] = mask[first:last]
+            stop = last
+        else:  # the range runs up to the first preferred value taken, marked by one OR
+            clash = _int(assigned, first, last) & _int(mask, first, last)
+            stop = first + ((clash & -clash).bit_length() - 1) // 8 if clash else last
+            span = _int(assigned, first, stop) | _int(mask, first, stop)
+            assigned[first:stop] = span.to_bytes(stop - first, "little")
+        tail = []
+        for value in compress(range(stop, last), memoryview(mask)[stop:last]):
+            if assigned[value]:
                 value = next_free = assigned.index(0, next_free)
             assigned[value] = 1
-            values.append(value)
-        blocks.append(_WctBlock(None, min(values), max(values) + 1, values))
+            tail.append(value)
+        # The range and the loop took every preferred value; a short guess lacks some.
+        missing = 0 if end is not None else high - low - _count_ones(mask[first:last])
+        if missing:  # the first zeros from next_free on
+            zeros = compress(count(next_free), assigned[next_free:].translate(_FLIP))
+            tail += islice(zeros, missing)
+            assigned[next_free : tail[-1] + 1] = b"\x01" * (tail[-1] + 1 - next_free)
+            next_free = tail[-1] + 1
+        # A nonempty range ends at a one, so a range past the horizon has a one there.
+        blocks.append(_WctBlock(mask, first, max(first, mask.rfind(1, first, stop) + 1), tail))
 
     # Each value was unassigned when it was taken, so the values are distinct
     # exactly when max_n! of them are marked.
@@ -342,11 +350,16 @@ def _wct_blocks(masks: Sequence[bytes]) -> list[_WctBlock]:
     return blocks
 
 
+def _int(bits, first: int, last: int) -> int:
+    """The 0/1 bytes bits[first:last] as an int with byte i at bit 8i."""
+    return int.from_bytes(bits[first:last], "little")
+
+
 def _wct_table(blocks: Sequence[_WctBlock]) -> tuple[int, ...]:
     """The values of the injection on [0, max_n!), in input order."""
     return tuple(chain.from_iterable(
-        compress(range(first, last), memoryview(mask)[first:last]) if values is None else values
-        for mask, first, last, values in blocks
+        chain(compress(range(first, last), memoryview(mask)[first:last]), tail)
+        for mask, first, last, tail in blocks
     ))
 
 
@@ -355,26 +368,24 @@ def _wct_hits(stream: SetStream, blocks: Sequence[_WctBlock]) -> list[int]:
 
     Equal to `preimage_hits(stream, _wct_table(blocks), checkpoints)` at the
     checkpoints 1!, ..., max_n!, with the same HorizonError for the first
-    value in input order outside the horizon.  A block that is a range of
-    the guess's ones is counted without listing them: with one byte per bit,
-    the AND of the guess's and the stream's slices, read as ints, has one set
-    bit per hit.
+    value in input order outside the horizon.  A block's range is counted
+    without listing its values: with one byte per bit, the AND of the
+    guess's and the stream's slices, read as ints, has one set bit per hit.
     """
     horizon = stream.horizon
-    for mask, first, last, values in blocks:
-        if last > horizon:
-            if values is None:
-                raise _horizon_error(mask.find(1, max(first, horizon), last), horizon)
-            raise _horizon_error(next(v for v in values if v >= horizon), horizon)
+    for mask, first, last, tail in blocks:
+        if first < last and last > horizon:
+            raise _horizon_error(mask.find(1, max(first, horizon), last), horizon)
+        if tail and max(tail) >= horizon:
+            raise _horizon_error(next(v for v in tail if v >= horizon), horizon)
     backend = stream._backend
     counts, hits = [], 0
-    for mask, first, last, values in blocks:
-        if values is None:
+    for mask, first, last, tail in blocks:
+        if first < last:
             bits = backend.gather(range(first, last), last)
-            hits += (int.from_bytes(mask[first:last], "little")
-                     & int.from_bytes(bits, "little")).bit_count()
-        else:
-            hits += backend.gather(values, last).count(1)
+            hits += (_int(mask, first, last) & int.from_bytes(bits, "little")).bit_count()
+        if tail:
+            hits += _count_ones(backend.gather(tail, max(tail) + 1))
         counts.append(hits)
     return counts
 

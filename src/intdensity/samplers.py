@@ -11,7 +11,6 @@ because it proves the program is not a valid sampler.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
@@ -167,14 +166,13 @@ class Sampler:
         domain_bound: int = None,
         label: str = "custom",
     ) -> "Sampler":
-        """Sampler of unknown injectivity: every value is logged, a repeat raises."""
+        """Sampler of unknown injectivity: every value is logged, a repeat raises
+        (single-threaded: the log is not synchronized)."""
         seen: dict[int, int] = {}
-        lock = threading.Lock()
 
         def checked(x: int) -> int:
             value = fn(x)
-            with lock:
-                prev = seen.setdefault(value, x)
+            prev = seen.setdefault(value, x)
             if prev != x:
                 raise InjectivityError(f"{label} maps both {prev} and {x} to {value}")
             return value

@@ -21,7 +21,6 @@ Each kind of set has one backend:
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,21 +153,18 @@ class _Members(_Backend):
 
 
 class _Buffered(_Backend):
-    """Dense 0/1 byte buffer; subclasses that can fill it do so on demand under a lock."""
+    """Dense 0/1 byte buffer; subclasses that can fill it do so on demand
+    (single-threaded: a fill is not synchronized)."""
 
     def __init__(self, initial: bytearray = None):
         self._buf = initial if initial is not None else bytearray()
-        self._lock = threading.Lock()
 
     def _fill(self, upto: int) -> None:
         raise HorizonError(f"only {len(self._buf)} bits available")
 
     def _ensure(self, upto: int) -> None:
-        if len(self._buf) >= upto:
-            return
-        with self._lock:
-            if len(self._buf) < upto:
-                self._fill(-(-upto // _GRANULE) * _GRANULE)
+        if len(self._buf) < upto:
+            self._fill(-(-upto // _GRANULE) * _GRANULE)
 
     def bit(self, index):
         self._ensure(index + 1)
@@ -190,7 +186,8 @@ class _SeededBits(_Buffered):
     all lanes of one Python int at once; a step that starts where a full step ended adds
     _CHUNK * GAMMA to that step's inputs.  Every lane is masked to 64 bits before each
     multiply, so a lane's product fits in its 128 bits and no carry reaches the next
-    lane.  Each bit equals `splitmix64(seed, i) % den < num`.
+    lane.  Each bit equals `splitmix64(seed, i) % den < num`, read off carries without a
+    division (Lemire, Kaser and Kurz, "Faster remainder by direct computation", SPE 2019).
     """
 
     def __init__(self, seed: int, num: int, den: int):
@@ -205,23 +202,32 @@ class _SeededBits(_Buffered):
 
     def _fill(self, upto):
         seed, num, den = self._seed, self._num, self._den
-        # For den = 2^d <= 2^64, v mod den < num iff bit d of
-        # (den - 1 - v mod den) + num is set.  For any other den, with
-        # m = floor(2^64 / den), (v * m) >> 64 is v // den or one less, so
-        # r = v - ((v * m) >> 64) * den lies in [0, 2 den), and v mod den
-        # < num iff [r < num] + [r >= den] - [r >= den + num] is 1; each
-        # bracket is the carry into bit 64 of one sum.  Past 2^64 a bracket
-        # is constant (r < 2^64), so its addend is clamped to [0, 2^64].
+        # For den = 2^d <= 2^64, v mod den < num iff bit d of (den - 1 - v mod den)
+        # + num is set.  For other den < 2^63, with L its bit length, F = 64 + L and
+        # c = ceil(2^F / den) < 2^65, x = c v mod 2^F has v mod den = floor(x den / 2^F),
+        # so v mod den < num iff x < t = ceil(num 2^F / den), iff x + 2^F - t does not
+        # carry into bit F; a lane holds (v (c - 2^64) mod 2^F + (v mod 2^L) 2^64) mod 2^F.
+        # For den > 2^63, v < 2 den, so the bit is [v < num] + [v >= den] -
+        # [v >= den + num], each a carry into bit 64, its addend clamped to [0, 2^64].
         power = den & (den - 1) == 0 and den <= 1 << 64
+        width = 64 + den.bit_length()  # F
+        direct = not power and den < 1 << 63
         if self._constants is None:
             steps, ones, low, _ = _lanes()
             if power:
                 extra = ((den - 1) * ones, num * ones)
+            elif direct:  # 2^F - 1, 2^L - 1, 2^F - t and the carry bit F
+                t = -(-(num << width) // den)
+                extra = (((1 << width) - 1) * ones, ((1 << (width - 64)) - 1) * ones,
+                         ((1 << width) - t) * ones, ones << width)
             else:
                 extra = (min(num, 1 << 64) * ones, max(0, (1 << 64) - den) * ones,
                          max(0, (1 << 64) - den - num) * ones, ones << 64)
             self._constants = (steps, ones, low) + extra
-        shift, recip, stride = den.bit_length() - 1, (1 << 64) // den, _lanes()[3]
+        shift, stride = den.bit_length() - 1, _lanes()[3]
+        # c - 2^64, and the byte of a lane that holds bit F, read as 1 where F is clear
+        multiplier, at = -(-(1 << width) // den) - (1 << 64), width // 8
+        clear = bytes.maketrans(bytes([0, 1 << width % 8]), b"\x01\x00")
         start = len(self._buf)
         while start < upto:
             n = min(_CHUNK, upto - start)
@@ -243,12 +249,18 @@ class _SeededBits(_Buffered):
                 top, nums = extra
                 bits = ((((z & top) ^ top) + nums) >> shift).to_bytes(16 * n, "little")
                 self._buf += bits[::16]
+            elif direct:
+                # Masked first: the finalizer leaves the next lane's low bits in bits 97-127.
+                top, low_bits, past, carry = extra
+                z &= low
+                x = (((z * multiplier) & top) + ((z & low_bits) << 64)) & top
+                bits = ((x + past) & carry).to_bytes(16 * n, "little")
+                self._buf += bits[at::16].translate(clear)
             else:
                 nums, den_off, den_num_off, carry = extra
                 z &= low
-                r = z - (((z * recip) >> 64) & low) * den
-                bits = (((r ^ low) + nums) & carry) + ((r + den_off) & carry)
-                bits -= (r + den_num_off) & carry
+                bits = (((z ^ low) + nums) & carry) + ((z + den_off) & carry)
+                bits -= (z + den_num_off) & carry
                 self._buf += bits.to_bytes(16 * n, "little")[8::16]
             start += n
 
@@ -306,8 +318,7 @@ class SetStream:
     """A deterministic total characteristic function on [0, horizon).
 
     Repeated queries at the same index return the same bit; queries at or
-    above the horizon raise HorizonError.  Streams are safe for concurrent
-    reads: buffers that fill on demand synchronize their fills internally.
+    above the horizon raise HorizonError.
     """
 
     __slots__ = ("_backend", "_horizon", "_label")
@@ -434,6 +445,8 @@ def _parse_spec(spec: str):
                 raise ValueError(f"bad probability clause in {spec!r}") from None
             if den < 1 or not 0 <= num <= den:
                 raise ValueError("probability must satisfy 0 <= num/den <= 1")
+        if num in (0, den):  # no bit or every bit is set, whatever the seed
+            return (_Periodic(b"\x01") if num else _Members([])), None
         return _SeededBits(seed, num, den), None
     if spec.startswith("file:"):
         path = spec[5:]

@@ -7,6 +7,9 @@ call into its result or its error, so that a fast path and its oracle are
 compared with one `==`, errors included.
 """
 
+from itertools import compress, count, islice
+from math import factorial
+
 from hypothesis import strategies as st
 
 from intdensity import Sampler, cantor_pair, eval_sampler, string_code, string_decode
@@ -60,6 +63,29 @@ def loop_adversary_rows(f_values, sampler, q, nmax):
             top, evaluated = max(top, value), evaluated + 1
         rows.append((1 + top, first.get(f_values[n], stop) < stop))
     return rows
+
+
+def loop_wct_blocks(masks):
+    """The wct injection's values on each block, one input at a time.
+
+    `masks[n - 1]` is the guess for block n as 0/1 bytes.  Input j of block
+    n takes the position of the guess's j-th one (j global, 0-indexed) if
+    that one exists and its position is not taken yet, and the least value
+    not taken yet otherwise.
+    """
+    assigned = bytearray(max([factorial(len(masks))] + [len(mask) for mask in masks]))
+    blocks, next_free = [], 0
+    for n, mask in enumerate(masks, 1):
+        low, high = factorial(n - 1) if n > 1 else 0, factorial(n)
+        preferred = list(islice(compress(count(), mask), low, high))
+        values = []
+        for value in preferred + [None] * (high - low - len(preferred)):
+            if value is None or assigned[value]:
+                value = next_free = assigned.index(0, next_free)
+            assigned[value] = 1
+            values.append(value)
+        blocks.append(values)
+    return blocks
 
 
 # -- strategies ----------------------------------------------------------------

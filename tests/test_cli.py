@@ -384,6 +384,23 @@ class TestRefusedInputs:
             "error: --nmax 11 exceeds the budget of 3628800 table entries (n! at --nmax 10)\n"
         )
 
+    def test_wct_on_a_seeded_stream_without_ones_is_refused_before_filling(self, capsys):
+        # p = 0 is a closed form with no members, so no bit of the 10^12 is made.
+        argv = ["wct", "--set", "seed:42:p=0/1", "--horizon", "1000000000000", "--nmax", "2",
+                "--oracle-trace"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: seed:42:p=0/1 holds fewer than 1 + 1 elements below 1000000000000\n"
+        )
+
     def test_wct_guess_past_the_horizon_names_its_first_value(self, capsys, tmp_path):
         # Block 3 takes values 100..103 and block 4 values 70..87, both past
         # the horizon 64: the error names 100, the first in input order.

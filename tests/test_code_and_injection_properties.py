@@ -8,8 +8,9 @@ total and injective for any guesses is checked in
 `test_injectivity_properties.py`), and its table equals the one built
 input by input with a set of assigned values, also for guesses that run
 over several of the 4,096-bit chunks in which it looks for a block's first
-preferred value.  The block-wise hit counts of the `wct` command equal
-`preimage_hits` at the whole table, errors included.
+preferred value.  The `wct` command's blocks hold the values of the
+per-value loop, and their hit counts equal `preimage_hits` at the whole
+table, errors included.
 """
 
 import random
@@ -41,9 +42,9 @@ from intdensity import (
     triple_decode,
     wct_target,
 )
-from intdensity.constructions import _guess_masks, _wct_blocks, _wct_hits
+from intdensity.constructions import _guess_masks, _wct_blocks, _wct_hits, _wct_table
 from intdensity.streams import _CHUNK
-from oracles import outcome
+from oracles import loop_wct_blocks, outcome
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -266,9 +267,9 @@ def test_block_hits_make_no_per_bit_calls(spec, hit_file, monkeypatch):
     source = SetStream.from_spec(spec.format(path=hit_file), 1000)
     backend = type(source._backend)
     guesses = {n: wct_target(source, n) for n in range(1, 6)}
-    guesses[3] = ""  # a fallback block, which lists its values
+    guesses[3] = ""  # a block that lists its values, all in its tail
     blocks = _wct_blocks(_guess_masks(guesses, 5))
-    assert {values is None for *_, values in blocks} == {True, False}
+    assert {bool(tail) for *_, tail in blocks} == {True, False}
     table = build_wct_injection(guesses, 5).table
     expected = preimage_hits(source, table, [factorial(n) for n in range(1, 6)])
     calls = [0]
@@ -281,3 +282,66 @@ def test_block_hits_make_no_per_bit_calls(spec, hit_file, monkeypatch):
     monkeypatch.setattr(backend, "bit", counted)
     assert _wct_hits(source, blocks) == expected
     assert calls[0] == 0
+
+
+# Guesses for blocks 1..4.  Block 2 takes 9, its one after a run of zeros.
+# Block 3 prefers 2, 8, 9 and 12: it clashes at 9, takes 1 instead, and 12
+# in its tail.  Block 4, all ones, prefers 6..23: it clashes at 8 and 9, and
+# at 12, which block 3's tail took.
+CLASH_GUESSES = {1: "1", 2: "0" * 6 + "1001", 3: "111" + "0" * 5 + "11" + "0" * 2 + "11",
+                 4: "1" * 30}
+
+
+@pytest.mark.parametrize(
+    "spec", ["seed:7:p=2/5", "evens", pytest.param(f"list:{HIT_MEMBERS}", id="list")]
+)
+@settings(max_examples=60, deadline=None)
+@given(max_n=st.integers(1, 5), horizon=st.integers(1, 1000), data=st.data())
+@example(max_n=4, horizon=1000, data=None)
+def test_wct_blocks_match_the_per_value_loop(spec, max_n, horizon, data):
+    source = SetStream.from_spec(spec, 1000)
+    guesses = {}
+    for n in range(1, max_n + 1):
+        guess = wct_target(source, n)
+        kind = "clash" if data is None else data.draw(
+            st.sampled_from(["true", "truncated", "flipped", "empty", "long"]))
+        if kind == "clash":
+            guess = CLASH_GUESSES[n]
+        elif kind == "truncated":
+            guess = guess[: data.draw(st.integers(0, len(guess)))]
+        elif kind == "flipped":
+            bits = list(guess)
+            for i in data.draw(st.lists(st.integers(0, len(bits) - 1), max_size=4)):
+                bits[i] = "10"[int(bits[i])]
+            guess = "".join(bits)
+        elif kind == "empty":
+            guess = ""
+        elif kind == "long":  # ones shifted out, some past the horizon
+            guess = "0" * data.draw(st.integers(0, 1500)) + guess
+        guesses[n] = guess
+    masks = _guess_masks(guesses, max_n)
+    blocks = _wct_blocks(masks)
+    expected = loop_wct_blocks(masks)
+    assert [list(_wct_table([block])) for block in blocks] == expected
+    table = [value for values in expected for value in values]
+    checkpoints = [factorial(n) for n in range(1, max_n + 1)]
+    stream = SetStream.from_spec(spec, horizon)
+    assert outcome(_wct_hits, stream, blocks, catch=HorizonError) == outcome(
+        preimage_hits, stream, table, checkpoints, catch=HorizonError)
+
+
+# Block 3 of (a) keeps value 4, the one of a guess that then runs on in zeros
+# past the horizon 6, and takes 1, 3 and 5 in its tail: no value is past the
+# horizon.  Block 3 of (b) keeps 10 and 11 and takes 2 and 3 in its tail, all
+# past the horizon 2: the error names 10, the first in input order.
+@pytest.mark.parametrize("spec", ["evens", "file:{path}"])
+@pytest.mark.parametrize("guesses, horizon", [
+    ({1: "10", 2: "1010", 3: "101010" + "0" * 4}, 6),
+    ({1: "1", 2: "01", 3: "11" + "0" * 8 + "11"}, 2),
+])
+def test_block_hits_at_a_horizon_inside_a_block(spec, guesses, horizon, hit_file):
+    masks = _guess_masks(guesses, 3)
+    table = [value for values in loop_wct_blocks(masks) for value in values]
+    stream = SetStream.from_spec(spec.format(path=hit_file), horizon)
+    assert outcome(_wct_hits, stream, _wct_blocks(masks), catch=HorizonError) == outcome(
+        preimage_hits, stream, table, [1, 2, 6], catch=HorizonError)

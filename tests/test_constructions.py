@@ -35,8 +35,8 @@ from intdensity import (
 )
 from intdensity.cli import main
 from intdensity.codes import string_decode
-from intdensity.constructions import format_guess_lines, load_guess_lines
-from oracles import outcome
+from intdensity.constructions import _guess_masks, format_guess_lines, load_guess_lines
+from oracles import loop_wct_blocks, outcome
 
 
 def merged_introreduce(codes) -> str:
@@ -256,6 +256,8 @@ class TestWctInjection:
             injection = build_wct_injection(guesses, 4)
             assert len(injection.table) == 24
             assert len(set(injection.table)) == 24
+            expected = loop_wct_blocks(_guess_masks(guesses, 4))
+            assert injection.table == tuple(value for values in expected for value in values)
 
     def test_density_bound_when_one_guess_is_true(self):
         # A correct guess for block n forces at least n! - (n-1)! members

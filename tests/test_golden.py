@@ -13,11 +13,12 @@ is a hit, once with 6 inputs and once with 3,000.
 
 A recorded file is the exact stdout of its invocation, `.csv` for CSV
 reports and `.json` otherwise; replacing one changes an expected output and
-needs a stated, reviewed reason in CHANGES.md.  Three recorded files are not
-cases here: `wct-seed42-nmax10` and `wct-seed42-p1_5-nmax10`, `wct --nmax 10`
-at p = 1/2 and 1/5, take seconds each, and `wct-evens-nmax10`, the same on
-`evens`, reads 7.4M bits of a closed form; CI compares them with the
-installed entry point's output.
+needs a stated, reviewed reason in CHANGES.md.  Four recorded files are not
+cases here: `wct-seed42-nmax10`, `wct-seed42-p1_5-nmax10` and
+`wct-seed42-p3_4-nmax10`, `wct --nmax 10` at p = 1/2, 1/5 and 3/4, take up
+to seconds each, and `wct-evens-nmax10`, the same on `evens`, reads 7.4M
+bits of a closed form; CI compares them with the installed entry point's
+output.
 """
 
 import io
@@ -39,6 +40,16 @@ FILES = {
     # the truth cut in half: both blocks take fallback values.
     "trace-wrong.txt": (
         "1:10\n2:1010\n3:111110101010\n4:" + "10" * 24 + "\n5:" + "10" * 60 + "\n"
+    ),
+    # Prefixes of the truth of seed:7:p=2/5 at blocks 1 and 2; blocks 3 and 5
+    # cut to 4 and 100 ones, which keep their preferred values and take a
+    # least-free tail; block 4 all ones, whose preferred values clash with
+    # block 3's.
+    "trace-seed-wrong.txt": "1:{0:.5}\n2:{0:.8}\n3:{0:.11}\n4:{1}\n5:{0}\n".format(
+        "0010010011011011010100011110110100110001010101010111000010000111000101001000000110"
+        "1010001110010000000100010010010100001010101101100110100001000001001111101111011001"
+        "11000011100110110010010101110011000001110000111100010001010010000001",
+        "1" * 30,
     ),
     "table.txt": "0,2,3\n0,2,4\n0,2,5\n0,2,6\n",
     "bad-table.txt": "# input 0 has two values\n0,1,3\n0,2,3\n\n2,0,5\n",
@@ -150,6 +161,10 @@ CASES = {
     "wct-evens-wrong-guesses-table": (0, [
         "wct", "--set", "evens", "--horizon", "256", "--nmax", "5",
         "--trace-file", "trace-wrong.txt", "--include-table",
+    ]),
+    "wct-seed7-p2_5-wrong-guesses-table": (0, [
+        "wct", "--set", "seed:7:p=2/5", "--horizon", "512", "--nmax", "5",
+        "--trace-file", "trace-seed-wrong.txt", "--include-table",
     ]),
     "weakrep-of-program-manifest-comments": (0, [
         "weakrep", "of-program", "--manifest", "manifest-comments.txt",

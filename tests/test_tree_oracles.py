@@ -482,12 +482,15 @@ def test_bulk_fill_matches_splitmix64(num, den, seed, start, length):
     assert bytes(backend._buf) == per_index_bits(seed, num, den, start + length)
 
 
-# Powers of two up to 2^64, and dens of the reciprocal reduction on both
-# sides of 2^63 and 2^64, where its addends are clamped, at every num where
-# the reduction's carries change, in fills that end mid-step.
+# Powers of two up to 2^64; dens of the direct remainder, among them bit
+# lengths L = 56, 57 and 63, where its carry bit F = 64 + L is the first,
+# second and last bit of a lane's top byte; and dens on both sides of 2^63
+# and 2^64, where the clamped carries take over; at every num where the
+# carries change, in fills that end mid-step.
 GRID_DENS = [
-    1, 2, 3, 5, 6, 7, 10, 1000003, 2**32 - 1, 2**32 + 1, 2**63 - 1, 2**63,
-    2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**65, 3**50,
+    1, 2, 3, 5, 6, 7, 10, 1000003, 2**32 - 1, 2**32 + 1, 2**55 + 1, 2**56 - 1,
+    2**56 + 1, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**65,
+    3**50,
 ]
 GRID_LENGTHS = [1, 1023, 4097, 3 * _CHUNK + 5]
 
@@ -538,7 +541,7 @@ MIXED_ENSURES = [1, 1023, 4096, 4097, 3 * _GRANULE + 4096, 4 * 4096 + 2 * _GRANU
 def test_fill_through_mixed_requests_matches_splitmix64(seed):
     assert _CHUNK == 4096
     words = [splitmix64(seed, i) for i in range(14 * _CHUNK)]
-    for den in [2, 4, 2**64, 5, 3**50]:
+    for den in [2, 4, 2**64, 5, 7, 2**62 + 1, 3**50]:
         for num in sorted({1, den // 3, den - 1}):
             backend = _SeededBits(seed, num, den)
             for upto in MIXED_ENSURES:
