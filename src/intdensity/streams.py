@@ -88,11 +88,12 @@ def _horizon_error(index: int, horizon: int) -> HorizonError:
 
 
 class _Backend:
-    """Bit source that reads one bit or gathers many; every other query is derived
-    from `gather`, and a backend overrides one only where it has a closed form."""
+    """Bit source that overrides `bit` or `gather`, each derived from the other: `bit`
+    is a one-index gather.  Every other query is derived from `gather`, and a backend
+    overrides one only where it has a closed form."""
 
     def bit(self, index: int) -> int:
-        raise NotImplementedError
+        return self.gather((index,), index + 1)[0]
 
     def gather(self, indices: Sequence[int], bound: int) -> bytes:
         """The bits at the given in-horizon indices, all below bound, as 0/1 bytes."""
@@ -166,10 +167,6 @@ class _Buffered(_Backend):
         if len(self._buf) < upto:
             self._fill(-(-upto // _GRANULE) * _GRANULE)
 
-    def bit(self, index):
-        self._ensure(index + 1)
-        return self._buf[index]
-
     def gather(self, indices, bound):
         self._ensure(bound)
         if isinstance(indices, range) and indices.step > 0:  # an ascending range: one slice
@@ -187,7 +184,9 @@ class _SeededBits(_Buffered):
     _CHUNK * GAMMA to that step's inputs.  Every lane is masked to 64 bits before each
     multiply, so a lane's product fits in its 128 bits and no carry reaches the next
     lane.  Each bit equals `splitmix64(seed, i) % den < num`, read off carries without a
-    division (Lemire, Kaser and Kurz, "Faster remainder by direct computation", SPE 2019).
+    division: for every den <= 2^63, powers of two included, by one direct remainder
+    (Lemire, Kaser and Kurz, "Faster remainder by direct computation", SPE 2019), and
+    for den > 2^63 by three clamped carries.
     """
 
     def __init__(self, seed: int, num: int, den: int):
@@ -195,43 +194,43 @@ class _SeededBits(_Buffered):
         self._seed = seed
         self._num = num
         self._den = den
-        # Lane constants of a whole step, made by the first fill: rebuilding
-        # them in every fill cost the wct bench about a tenth of its jobs per second.
+        # Lane constants of a whole step and the per-denominator readout, made by the
+        # first fill: rebuilding them in every fill cost the wct bench about a tenth
+        # of its jobs per second.
         self._constants = None
         self._stepped = (None, None)  # the start after the last full step, and its inputs
 
     def _fill(self, upto):
-        seed, num, den = self._seed, self._num, self._den
-        # For den = 2^d <= 2^64, v mod den < num iff bit d of (den - 1 - v mod den)
-        # + num is set.  For other den < 2^63, with L its bit length, F = 64 + L and
-        # c = ceil(2^F / den) < 2^65, x = c v mod 2^F has v mod den = floor(x den / 2^F),
-        # so v mod den < num iff x < t = ceil(num 2^F / den), iff x + 2^F - t does not
-        # carry into bit F; a lane holds (v (c - 2^64) mod 2^F + (v mod 2^L) 2^64) mod 2^F.
-        # For den > 2^63, v < 2 den, so the bit is [v < num] + [v >= den] -
-        # [v >= den + num], each a carry into bit 64, its addend clamped to [0, 2^64].
-        power = den & (den - 1) == 0 and den <= 1 << 64
-        width = 64 + den.bit_length()  # F
-        direct = not power and den < 1 << 63
+        # For den <= 2^63, with L = (den - 1).bit_length(), F = 64 + L and c = ceil(2^F / den),
+        # x = c v mod 2^F has v mod den = floor(x den / 2^F), so v mod den < num iff
+        # x < t = ceil(num 2^F / den), iff x + 2^F - t does not carry into bit F.  As
+        # 2^64 <= c < 2^65, a lane holds x = ((v mod 2^L) 2^64 + v (c - 2^64)) mod 2^F; at
+        # den = 2^L, c = 2^64 and the multiply is skipped.  For den > 2^63, v < 2 den, so
+        # the bit is [v < num] + [v >= den] - [v >= den + num], each a carry into bit 64,
+        # its addend clamped to [0, 2^64].
         if self._constants is None:
             steps, ones, low, _ = _lanes()
-            if power:
-                extra = ((den - 1) * ones, num * ones)
-            elif direct:  # 2^F - 1, 2^L - 1, 2^F - t and the carry bit F
-                t = -(-(num << width) // den)
-                extra = (((1 << width) - 1) * ones, ((1 << (width - 64)) - 1) * ones,
-                         ((1 << width) - t) * ones, ones << width)
+            num, den = self._num, self._den
+            if den > 1 << 63:  # the clamped addends and the carry bit 64
+                extra = [min(num, 1 << 64) * ones, max(0, (1 << 64) - den) * ones,
+                         max(0, (1 << 64) - den - num) * ones, ones << 64]
+                readout = None
             else:
-                extra = (min(num, 1 << 64) * ones, max(0, (1 << 64) - den) * ones,
-                         max(0, (1 << 64) - den - num) * ones, ones << 64)
-            self._constants = (steps, ones, low) + extra
-        shift, stride = den.bit_length() - 1, _lanes()[3]
-        # c - 2^64, and the byte of a lane that holds bit F, read as 1 where F is clear
-        multiplier, at = -(-(1 << width) // den) - (1 << 64), width // 8
-        clear = bytes.maketrans(bytes([0, 1 << width % 8]), b"\x01\x00")
+                width = 64 + (den - 1).bit_length()  # F
+                c, t = -(-(1 << width) // den), -(-(num << width) // den)
+                # 2^F - 1, 2^L - 1 and 2^F - t in each lane; then c - 2^64, and the byte of
+                # a lane that holds bit F, the sum's top bit, read as 1 where bit F is clear
+                extra = [((1 << width) - 1) * ones, ((1 << (width - 64)) - 1) * ones,
+                         ((1 << width) - t) * ones]
+                clear = bytes(1 - ((b >> (width % 8)) & 1) for b in range(256))
+                readout = (c - (1 << 64), width // 8, clear)
+            self._constants = [steps, ones, low, *extra], readout
+        constants, readout = self._constants
+        seed, stride = self._seed, _lanes()[3]
         start = len(self._buf)
         while start < upto:
             n = min(_CHUNK, upto - start)
-            lanes = self._constants
+            lanes = constants
             if n < _CHUNK:
                 mask = (1 << (128 * n)) - 1
                 lanes = [c & mask for c in lanes]
@@ -245,23 +244,20 @@ class _SeededBits(_Buffered):
             z = (((z ^ (z >> 30)) & low) * _MIX_MUL_1) & low
             z = (((z ^ (z >> 27)) & low) * _MIX_MUL_2) & low
             z ^= z >> 31  # only the low 64 bits of each lane are read below
-            if power:
-                top, nums = extra
-                bits = ((((z & top) ^ top) + nums) >> shift).to_bytes(16 * n, "little")
-                self._buf += bits[::16]
-            elif direct:
-                # Masked first: the finalizer leaves the next lane's low bits in bits 97-127.
-                top, low_bits, past, carry = extra
-                z &= low
-                x = (((z * multiplier) & top) + ((z & low_bits) << 64)) & top
-                bits = ((x + past) & carry).to_bytes(16 * n, "little")
-                self._buf += bits[at::16].translate(clear)
-            else:
+            if readout is None:  # den > 2^63: the clamped carries
                 nums, den_off, den_num_off, carry = extra
                 z &= low
                 bits = (((z ^ low) + nums) & carry) + ((z + den_off) & carry)
                 bits -= (z + den_num_off) & carry
                 self._buf += bits.to_bytes(16 * n, "little")[8::16]
+            else:
+                top, low_bits, past = extra
+                multiplier, at, clear = readout
+                x = (z & low_bits) << 64
+                if multiplier:  # on z masked first: the finalizer left the next lane's low bits
+                    # in bits 97-127
+                    x = ((((z & low) * multiplier) & top) + x) & top
+                self._buf += (x + past).to_bytes(16 * n, "little")[at::16].translate(clear)
             start += n
 
 
@@ -271,9 +267,6 @@ class _Periodic(_Backend):
     def __init__(self, pattern: bytes):
         self._pattern = pattern
         self._ones = list(compress(range(len(pattern)), pattern))  # one period's members
-
-    def bit(self, index):
-        return self._pattern[index % len(self._pattern)]
 
     def gather(self, indices, bound):
         pattern, period = self._pattern, len(self._pattern)

@@ -13,12 +13,12 @@ is a hit, once with 6 inputs and once with 3,000.
 
 A recorded file is the exact stdout of its invocation, `.csv` for CSV
 reports and `.json` otherwise; replacing one changes an expected output and
-needs a stated, reviewed reason in CHANGES.md.  Four recorded files are not
-cases here: `wct-seed42-nmax10`, `wct-seed42-p1_5-nmax10` and
-`wct-seed42-p3_4-nmax10`, `wct --nmax 10` at p = 1/2, 1/5 and 3/4, take up
-to seconds each, and `wct-evens-nmax10`, the same on `evens`, reads 7.4M
-bits of a closed form; CI compares them with the installed entry point's
-output.
+needs a stated, reviewed reason in CHANGES.md.  Five recorded files are not
+cases here: `wct-seed42-nmax10`, `wct-seed42-p1_5-nmax10`,
+`wct-seed42-p3_4-nmax10` and `wct-seed42-den2_63p1-nmax10`, `wct --nmax 10`
+at p = 1/2, 1/5, 3/4 and (2^62 + 1)/(2^63 + 1), take up to seconds each,
+and `wct-evens-nmax10`, the same on `evens`, reads 7.4M bits of a closed
+form; CI compares them with the installed entry point's output.
 """
 
 import io
@@ -98,6 +98,15 @@ CASES = {
     # The remaining AC9 invocations.
     "density-seed9-p13": (0, [
         "density", "--set", "seed:9:p=1/3", "--checkpoints", "4,16,64",
+    ]),
+    # Seeded fills past one 4,096-bit step at a power of two and at the
+    # denominator 2^63 + 1, the least that the fill reads by clamped carries.
+    "density-seed9-p5_8": (0, [
+        "density", "--set", "seed:9:p=5/8", "--checkpoints", "4,64,4096,4097,10000",
+    ]),
+    "density-seed9-den2_63p1": (0, [
+        "density", "--set", "seed:9:p=4611686018427387905/9223372036854775809",
+        "--checkpoints", "4,64,4096,4097,10000",
     ]),
     "density-evens-double": (0, [
         "density", "--set", "evens", "--checkpoints", "8,16", "--sampler", "double",

@@ -449,11 +449,10 @@ def test_prefix_set_matches_per_character_membership(members, horizon, spec):
 
 # -- seeded bits in bulk -------------------------------------------------------
 
-# The last three guard the lane arithmetic: 2^64 is the largest
-# power-of-two denominator that the lane-wise test handles, and larger
-# powers of two take the per-lane remainder.  At 2^100 the lane-wise test
-# would also read bits that the final xor-shift carries in from the next
-# lane, and a numerator above 2^64 makes that visible.
+# The last three guard the clamped carries, which read every denominator
+# above 2^63, 2^64 among them: at 2^70 and 2^100 every input lies below
+# the denominator, and a numerator above 2^64 must be clamped to 2^64, or
+# its sum would carry past bit 64 of its lane.
 PROBABILITIES = [
     (0, 1), (1, 1), (0, 2), (2, 2), (1, 2), (3, 4), (1, 5), (2, 5), (3, 7),
     (5, 2**20), (1, 2**64), (3, 2**70), (2**64 + 1, 2**100),
@@ -482,15 +481,17 @@ def test_bulk_fill_matches_splitmix64(num, den, seed, start, length):
     assert bytes(backend._buf) == per_index_bits(seed, num, den, start + length)
 
 
-# Powers of two up to 2^64; dens of the direct remainder, among them bit
-# lengths L = 56, 57 and 63, where its carry bit F = 64 + L is the first,
-# second and last bit of a lane's top byte; and dens on both sides of 2^63
-# and 2^64, where the clamped carries take over; at every num where the
-# carries change, in fills that end mid-step.
+# Dens of the direct remainder, powers of two among them, whose carry bit
+# F = 64 + (den - 1).bit_length() is bit 0 of byte 9 (at 2^8: F = 72), bit 0
+# of byte 15 (2^55 + 1, 2^56 - 1 and 2^56: F = 120), bit 1 of byte 15
+# (2^56 + 1 and 2^57: F = 121) and bit 7 of byte 15 (2^63 - 1 and 2^63:
+# F = 127); and dens on both sides of 2^63 and 2^64, where the clamped
+# carries take over; at every num where the carries change, in fills that
+# end mid-step.
 GRID_DENS = [
-    1, 2, 3, 5, 6, 7, 10, 1000003, 2**32 - 1, 2**32 + 1, 2**55 + 1, 2**56 - 1,
-    2**56 + 1, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**65,
-    3**50,
+    1, 2, 3, 5, 6, 7, 10, 2**8, 1000003, 2**32 - 1, 2**32 + 1, 2**55 + 1, 2**56 - 1,
+    2**56, 2**56 + 1, 2**57, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64,
+    2**64 + 1, 2**65, 3**50,
 ]
 GRID_LENGTHS = [1, 1023, 4097, 3 * _CHUNK + 5]
 
@@ -541,7 +542,7 @@ MIXED_ENSURES = [1, 1023, 4096, 4097, 3 * _GRANULE + 4096, 4 * 4096 + 2 * _GRANU
 def test_fill_through_mixed_requests_matches_splitmix64(seed):
     assert _CHUNK == 4096
     words = [splitmix64(seed, i) for i in range(14 * _CHUNK)]
-    for den in [2, 4, 2**64, 5, 7, 2**62 + 1, 3**50]:
+    for den in [2, 4, 2**63, 2**64, 5, 7, 2**62 + 1, 3**50]:
         for num in sorted({1, den // 3, den - 1}):
             backend = _SeededBits(seed, num, den)
             for upto in MIXED_ENSURES:
