@@ -320,7 +320,7 @@ def _run_pset(args):
         sigma_map = wr.SigmaMap.parse(fh)
     checkpoints = _ints(args.checkpoints)
     bounds = [wr.p_bound(registry, sigma_map, values, n) for n in checkpoints]
-    codes = sorted(wr.build_pset(values, registry, sigma_map, checkpoints))
+    codes = sorted(wr._prefix_codes(values, bounds))
     results = {"checkpoints": checkpoints, "p_bounds": bounds, "codes": codes}
     return results, {}, []
 

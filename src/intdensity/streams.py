@@ -10,9 +10,10 @@ Each kind of set has one backend:
   `empty` specs, `SetStream.from_members`, and the graph and image sets
   built by `constructions.graph_set` and `weakrep.image_set`;
 * bit buffers hold 0/1 bytes: `file:` streams are a fixed buffer, and
-  `seed:` streams fill theirs on demand, only as far as a query needs.
-  The fill computes thousands of bits per step (see `_SeededBits`), and
-  every bit equals its per-index definition `splitmix64`;
+  `seed:` streams fill theirs on demand by whole steps of 4,096 bits, to
+  the end of the step a query reaches.  Each step's inputs are the last
+  step's plus one stride (see `_SeededBits`), and every bit equals its
+  per-index definition `splitmix64`;
 * periodic patterns repeat one period: `full`, `evens` and `odds`;
 * rules call a membership function per bit: `SetStream.from_function`
   (`prefix_set`, `image_stream`); a complement is a rule that reads its
@@ -40,11 +41,10 @@ _MIX_MUL_1 = 0xBF58476D1CE4E5B9
 _MIX_MUL_2 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 
-# A seeded buffer fills up to the first multiple of _GRANULE at or past
-# a request, never further.  One bulk step computes _CHUNK bits in _CHUNK
-# 128-bit lanes of one 64 KB int; steps of 2^14 lanes were no faster and
-# raised peak memory.  Counts read _CHUNK-bit chunks, by popcount.
-_GRANULE = 1024
+# A seeded buffer grows by whole steps, to the end of the step that holds a
+# request.  One step computes _CHUNK bits in _CHUNK 128-bit lanes of one
+# 64 KB int; steps of 2^14 lanes were no faster and raised peak memory.
+# Counts read _CHUNK-bit chunks, by popcount.
 _CHUNK = 1 << 12
 
 # Render a 0/1 byte buffer as the characters "0"/"1", and back.
@@ -165,7 +165,7 @@ class _Buffered(_Backend):
 
     def _ensure(self, upto: int) -> None:
         if len(self._buf) < upto:
-            self._fill(-(-upto // _GRANULE) * _GRANULE)
+            self._fill(upto)
 
     def gather(self, indices, bound):
         self._ensure(bound)
@@ -179,14 +179,15 @@ class _Buffered(_Backend):
 class _SeededBits(_Buffered):
     """Bits of `seed:` specs, computed _CHUNK at a time in 128-bit lanes.
 
-    Lane k of a step holds the mixer input of bit start + k, and the finalizer runs on
-    all lanes of one Python int at once; a step that starts where a full step ended adds
-    _CHUNK * GAMMA to that step's inputs.  Every lane is masked to 64 bits before each
-    multiply, so a lane's product fits in its 128 bits and no carry reaches the next
-    lane.  Each bit equals `splitmix64(seed, i) % den < num`, read off carries without a
-    division: for every den <= 2^63, powers of two included, by one direct remainder
-    (Lemire, Kaser and Kurz, "Faster remainder by direct computation", SPE 2019), and
-    for den > 2^63 by three clamped carries.
+    The buffer grows by whole steps.  Lane k of a step holds the mixer input of bit
+    start + k, so each step's inputs are the last step's plus _CHUNK * GAMMA, the first
+    step's included: it follows a step -1 made with the lane constants.  The finalizer
+    runs on all lanes of one Python int at once, and every lane is masked to 64 bits
+    before each multiply, so a lane's product fits in its 128 bits and no carry reaches
+    the next lane.  Each bit equals `splitmix64(seed, i) % den < num`, read off carries
+    without a division: for every den <= 2^63, powers of two included, by one direct
+    remainder (Lemire, Kaser and Kurz, "Faster remainder by direct computation", SPE
+    2019), and for den > 2^63 by three clamped carries.
     """
 
     def __init__(self, seed: int, num: int, den: int):
@@ -194,11 +195,11 @@ class _SeededBits(_Buffered):
         self._seed = seed
         self._num = num
         self._den = den
-        # Lane constants of a whole step and the per-denominator readout, made by the
-        # first fill: rebuilding them in every fill cost the wct bench about a tenth
-        # of its jobs per second.
+        # The per-denominator constants and readout, and the inputs of step -1, made by
+        # the first fill: rebuilding the constants in every fill cost the wct bench
+        # about a tenth of its jobs per second.
         self._constants = None
-        self._stepped = (None, None)  # the start after the last full step, and its inputs
+        self._inputs = None  # the lane inputs of the last step
 
     def _fill(self, upto):
         # For den <= 2^63, with L = (den - 1).bit_length(), F = 64 + L and c = ceil(2^F / den),
@@ -208,8 +209,8 @@ class _SeededBits(_Buffered):
         # den = 2^L, c = 2^64 and the multiply is skipped.  For den > 2^63, v < 2 den, so
         # the bit is [v < num] + [v >= den] - [v >= den + num], each a carry into bit 64,
         # its addend clamped to [0, 2^64].
+        steps, ones, low, stride = _lanes()
         if self._constants is None:
-            steps, ones, low, _ = _lanes()
             num, den = self._num, self._den
             if den > 1 << 63:  # the clamped addends and the carry bit 64
                 extra = [min(num, 1 << 64) * ones, max(0, (1 << 64) - den) * ones,
@@ -224,23 +225,11 @@ class _SeededBits(_Buffered):
                          ((1 << width) - t) * ones]
                 clear = bytes(1 - ((b >> (width % 8)) & 1) for b in range(256))
                 readout = (c - (1 << 64), width // 8, clear)
-            self._constants = [steps, ones, low, *extra], readout
-        constants, readout = self._constants
-        seed, stride = self._seed, _lanes()[3]
-        start = len(self._buf)
-        while start < upto:
-            n = min(_CHUNK, upto - start)
-            lanes = constants
-            if n < _CHUNK:
-                mask = (1 << (128 * n)) - 1
-                lanes = [c & mask for c in lanes]
-            steps, ones, low, *extra = lanes
-            if self._stepped[0] == start:  # lane k moves on by the stride
-                z = (self._stepped[1] + stride) & low
-            else:
-                z = (steps + ((seed + start * SPLITMIX_GAMMA) & _U64) * ones) & low
-            if n == _CHUNK:
-                self._stepped = (start + n, z)
+            self._constants = extra, readout
+            self._inputs = (steps + ((self._seed - _CHUNK * SPLITMIX_GAMMA) & _U64) * ones) & low
+        extra, readout = self._constants
+        while len(self._buf) < upto:
+            z = self._inputs = (self._inputs + stride) & low
             z = (((z ^ (z >> 30)) & low) * _MIX_MUL_1) & low
             z = (((z ^ (z >> 27)) & low) * _MIX_MUL_2) & low
             z ^= z >> 31  # only the low 64 bits of each lane are read below
@@ -249,7 +238,7 @@ class _SeededBits(_Buffered):
                 z &= low
                 bits = (((z ^ low) + nums) & carry) + ((z + den_off) & carry)
                 bits -= (z + den_num_off) & carry
-                self._buf += bits.to_bytes(16 * n, "little")[8::16]
+                self._buf += bits.to_bytes(16 * _CHUNK, "little")[8::16]
             else:
                 top, low_bits, past = extra
                 multiplier, at, clear = readout
@@ -257,8 +246,7 @@ class _SeededBits(_Buffered):
                 if multiplier:  # on z masked first: the finalizer left the next lane's low bits
                     # in bits 97-127
                     x = ((((z & low) * multiplier) & top) + x) & top
-                self._buf += (x + past).to_bytes(16 * n, "little")[at::16].translate(clear)
-            start += n
+                self._buf += (x + past).to_bytes(16 * _CHUNK, "little")[at::16].translate(clear)
 
 
 class _Periodic(_Backend):

@@ -472,7 +472,11 @@ def build_pset(
     The underlying set is the graph of the diagonal table; its prefix at
     p_bound(n) is coded for every checkpoint n, with duplicates collapsing.
     """
-    bounds = [p_bound(registry, sigma_map, values, n) for n in checkpoints]
+    return _prefix_codes(values, [p_bound(registry, sigma_map, values, n) for n in checkpoints])
+
+
+def _prefix_codes(values: Sequence[int], bounds: Sequence[int]) -> set[int]:
+    """Codes of the graph stream's prefixes at the given bounds."""
     if not bounds:
         return set()
     stream = graph_set(values, len(values), stream_horizon=max(bounds))

@@ -520,6 +520,27 @@ class TestPset:
         assert report["results"]["p_bounds"] == [1]
         assert report["results"]["codes"] == [2]
 
+    def test_each_bound_is_computed_once(self, capsys, tmp_path, monkeypatch):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("identity\ndiverge\n")
+        sigma = tmp_path / "sigma.txt"
+        sigma.write_text("default:0\n")
+        calls, p_bound = [], weakrep.p_bound
+
+        def counted(registry, sigma_map, values, n):
+            calls.append(n)
+            return p_bound(registry, sigma_map, values, n)
+
+        monkeypatch.setattr(weakrep, "p_bound", counted)
+        code, report = run_json(
+            capsys,
+            "pset", "--values", "0", "--manifest", str(manifest),
+            "--sigma-file", str(sigma), "--checkpoints", "2,3",
+        )
+        assert code == 0
+        assert calls == [2, 3]
+        assert len(report["results"]["p_bounds"]) == 2
+
 
 class TestSpecIntegers:
     @pytest.mark.parametrize("argv, spec", [

@@ -84,6 +84,11 @@ CASES = {
         "tree-decode", "--prefix-sampler-of", "seed:7",
         "--q", "2", "--full-height", "6", "--depth", "7",
     ]),
+    # A prefix sampler that reads 12,288 bits, one bit longer at a time, so its
+    # seeded stream grows across three steps of 4,096 bits.
+    "tree-decode-seed7-q3-h1-d2048": (0, [
+        "tree-decode", "--prefix-sampler-of", "seed:7", "--q", "3", "--depth", "2048",
+    ]),
     "tree-decode-evens-q2-h1-d64": (0, [
         "tree-decode", "--prefix-sampler-of", "evens",
         "--q", "2", "--full-height", "1", "--depth", "64",

@@ -51,7 +51,7 @@ from intdensity import (
 from intdensity import cli
 from intdensity.codes import _check_bits
 from intdensity.samplers import eval_sampler
-from intdensity.streams import _CHUNK, _GRANULE, _Buffered, _Members, _Periodic, _SeededBits
+from intdensity.streams import _CHUNK, _Buffered, _Members, _Periodic, _SeededBits
 from oracles import (
     adversary_samplers,
     loop_adversary_rows,
@@ -476,9 +476,11 @@ def per_index_bits(seed, num, den, n):
 @example(seed=2**64 - 1, start=1, length=3 * _CHUNK)
 def test_bulk_fill_matches_splitmix64(num, den, seed, start, length):
     backend = _SeededBits(seed, num, den)
-    backend._fill(start)
-    backend._fill(start + length)
-    assert bytes(backend._buf) == per_index_bits(seed, num, den, start + length)
+    for upto in (start, start + length):
+        backend._fill(upto)
+        filled = len(backend._buf)
+        assert upto <= filled < upto + _CHUNK
+        assert bytes(backend._buf) == per_index_bits(seed, num, den, filled)
 
 
 # Dens of the direct remainder, powers of two among them, whose carry bit
@@ -486,8 +488,8 @@ def test_bulk_fill_matches_splitmix64(num, den, seed, start, length):
 # of byte 15 (2^55 + 1, 2^56 - 1 and 2^56: F = 120), bit 1 of byte 15
 # (2^56 + 1 and 2^57: F = 121) and bit 7 of byte 15 (2^63 - 1 and 2^63:
 # F = 127); and dens on both sides of 2^63 and 2^64, where the clamped
-# carries take over; at every num where the carries change, in fills that
-# end mid-step.
+# carries take over; at every num where the carries change, for requests
+# that end mid-step, each filled to the end of its step.
 GRID_DENS = [
     1, 2, 3, 5, 6, 7, 10, 2**8, 1000003, 2**32 - 1, 2**32 + 1, 2**55 + 1, 2**56 - 1,
     2**56, 2**56 + 1, 2**57, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64,
@@ -499,23 +501,37 @@ GRID_LENGTHS = [1, 1023, 4097, 3 * _CHUNK + 5]
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("den", GRID_DENS)
 def test_fill_matches_splitmix64_on_the_grid(seed, den):
-    words = [splitmix64(seed, i) for i in range(GRID_LENGTHS[-1])]
+    words = [splitmix64(seed, i) for i in range(4 * _CHUNK)]
     for num in sorted({0, 1, den // 2, den - 1, den}):
         expected = bytes(w % den < num for w in words)
         grown = _SeededBits(seed, num, den)
         for length in GRID_LENGTHS:
-            fresh = _SeededBits(seed, num, den)
-            fresh._fill(length)
-            grown._fill(length)
-            assert fresh._buf == expected[:length], (num, length)
-        assert grown._buf == expected, num
+            for backend in (_SeededBits(seed, num, den), grown):
+                backend._fill(length)
+                filled = len(backend._buf)
+                assert length <= filled < length + _CHUNK, (num, length)
+                assert backend._buf == expected[:filled], (num, length)
 
 
 @pytest.mark.parametrize("upto", [1, 1023, 1024, 1025, 5000, _CHUNK * 3 + 1])
-def test_fills_stop_within_a_granule_of_the_request(upto):
+def test_fills_stop_within_a_step_of_the_request(upto):
     stream = SetStream.from_spec("seed:4", 10**12)
     stream.count_below(upto)
-    assert upto <= len(stream._backend._buf) < upto + _GRANULE
+    assert upto <= len(stream._backend._buf) < upto + _CHUNK
+
+
+def test_prefixes_one_bit_longer_grow_the_buffer_by_whole_steps():
+    # Every prefix from 0 to 3 steps + 5 bits: the buffer grows only where a
+    # prefix first reaches into a new step, and then by exactly one step.
+    stream = SetStream.from_spec("seed:9", 10**12)
+    sizes = [0]
+    for k in range(3 * _CHUNK + 6):
+        prefix = stream.prefix(k)
+        if len(stream._backend._buf) != sizes[-1]:
+            sizes.append(len(stream._backend._buf))
+    assert sizes == [0, _CHUNK, 2 * _CHUNK, 3 * _CHUNK, 4 * _CHUNK]
+    assert stream._backend._buf == per_index_bits(9, 1, 2, 4 * _CHUNK)
+    assert prefix == "".join(map(str, per_index_bits(9, 1, 2, 3 * _CHUNK + 5)))
 
 
 @pytest.mark.parametrize("spec", ["seed:42", "seed:7:p=1/5"])
@@ -528,14 +544,13 @@ def test_principal_function_fills_only_to_the_kth_one(spec):
     assert pos == select_from_bit_zero(buf, k, len(buf))
 
 
-# Requests that fill by one granule, a partial step up to a step boundary,
-# one bit past it, granule-aligned partial steps, and runs of full steps,
-# some in one fill and some a step per fill: a step that starts where a
-# full step ended moves that step's inputs on by one stride, and any other
-# step multiplies its inputs out.
-MIXED_ENSURES = [1, 1023, 4096, 4097, 3 * _GRANULE + 4096, 4 * 4096 + 2 * _GRANULE,
-                 6 * 4096 + 2 * _GRANULE, 7 * 4096 + 2 * _GRANULE, 8 * 4096 + 2 * _GRANULE,
-                 8 * 4096 + 3 * _GRANULE, 9 * 4096, 10 * 4096, 13 * 4096 + 1]
+# Requests that end mid-step, on a step boundary and one bit past it, some
+# inside a step already filled and some several steps on, so one fill
+# appends no step, one step or a run of steps: each step's inputs are the
+# last step's moved on by one stride.
+MIXED_ENSURES = [1, 1023, 4096, 4097, 3 * 1024 + 4096, 4 * 4096 + 2 * 1024,
+                 6 * 4096 + 2 * 1024, 7 * 4096 + 2 * 1024, 8 * 4096 + 2 * 1024,
+                 8 * 4096 + 3 * 1024, 9 * 4096, 10 * 4096, 13 * 4096 + 1]
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -547,7 +562,9 @@ def test_fill_through_mixed_requests_matches_splitmix64(seed):
             backend = _SeededBits(seed, num, den)
             for upto in MIXED_ENSURES:
                 backend._ensure(upto)
-                expected = bytes(w % den < num for w in words[: len(backend._buf)])
+                filled = len(backend._buf)
+                assert upto <= filled < upto + _CHUNK, (den, num, upto)
+                expected = bytes(w % den < num for w in words[:filled])
                 assert backend._buf == expected, (den, num, upto)
 
 
