@@ -225,8 +225,7 @@ def _run_hits(args):
     hits = sorted(cons.hit_indices(sampler, values, args.q, horizon))
     checks = []
     for m, trace in zip(hits, cons._traces(sampler, args.q, hits)):
-        sound = values[m] in trace and len(trace) <= (m + 1) * args.q
-        checks.append(_check(f"hit_{m}_sound", sound, f"f({m})={values[m]}"))
+        checks.append(_check(f"hit_{m}_sound", values[m] in trace, f"f({m})={values[m]}"))
     return {"hits": hits}, {}, checks
 
 
@@ -498,12 +497,20 @@ def _typed(items, kinds: set) -> bool:
 
 
 def _emit_csv(report: dict) -> str:
+    """The report as `key,value` rows, keys the dotted paths of its leaves.
+
+    A list or tuple of exact `str` and `int` items is flattened in one
+    `rows.extend`; any other is walked item by item.  `csv.writer` quotes
+    every row.
+    """
     rows = []
 
     def walk(obj, path):
         if isinstance(obj, dict):
             for key in sorted(obj):
                 walk(obj[key], f"{path}.{key}" if path else str(key))
+        elif isinstance(obj, (list, tuple)) and _typed(obj, {str, int}):
+            rows.extend(zip(map(f"{path}.".__add__, map(str, range(len(obj)))), map(str, obj)))
         elif isinstance(obj, (list, tuple)):
             for i, item in enumerate(obj):
                 walk(item, f"{path}.{i}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import suppress
 from itertools import chain, count, repeat
 from math import isqrt
 from typing import Iterable
@@ -58,13 +59,24 @@ def _int_field(text: str, source: str, kind: str = "spec") -> int:
 def _int_fields(lines, width: int, read_line) -> list[int]:
     """The integer fields of a data file of `width` comma-separated fields a line.
 
-    The fields come in file order, parsed in C as one JSON array and kept
+    A text, or a file object's whole text, of only digits, commas and
+    newlines with width - 1 commas on every line is one JSON array of
+    naturals once its newlines are commas.  Any other text is split at
+    "\\n" alone, and its data lines are parsed in C as one JSON array, kept
     if every field is an int: a JSON integer is an `int()` literal of the
     same value.  Only if that pass fails does read_line(index, line), the
     caller's per-line reader, run on each line in turn: it raises at the
     first bad line, with that line's own message, or reads the `int()`
     literals that JSON lacks (`+7`, `007`, `1_000`).
     """
+    text = lines if isinstance(lines, str) else lines.read() if hasattr(lines, "read") else None
+    if text is not None:
+        body = text.removesuffix("\n")
+        shape = (b"," * (width - 1) + b"\n") * (body.count("\n") + 1)
+        if text.isascii() and body.encode().translate(None, b"0123456789") + b"\n" == shape:
+            with suppress(ValueError):  # an empty field or a leading zero
+                return json.loads("[" + body.replace("\n", ",") + "]")
+        lines = text.split("\n")
     lines = _data_lines(lines)
     if set(map(str.count, lines, repeat(","))) <= {width - 1}:
         try:

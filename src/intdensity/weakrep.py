@@ -79,10 +79,11 @@ class WeakRepTable:
     def from_lines(cls, lines, horizon: int = None) -> "WeakRepTable":
         """The table of a file of `x,y,z` lines in any order; a repeated line counts once.
 
-        The horizon defaults to the largest step.
+        The horizon defaults to the largest step.  A file object or a text is
+        read whole (see `codes._int_fields`).
         """
         fields = _int_fields(lines, 3, _table_line)
-        _check_components(fields)
+        _check_components([min(fields, default=0)])  # every field is an int, none a bool
         if horizon is None:
             horizon = max(fields[2::3], default=0)
         it = iter(fields)
@@ -133,6 +134,8 @@ def validate_weakrep(table: WeakRepTable) -> WeakRepReport:
     """Check the four invariants, with a witnessing triple for each failure.
 
     Every check reads the (x, y) runs of ascending steps, in (x, y) order.
+    Monotonicity is settled from each run's two ends; only a run with a gap
+    is scanned triple by triple, for its first missing step.
     """
     horizon = table.horizon
     runs = [list(run) for _, run in groupby(table.sorted_triples, itemgetter(0, 1))]
@@ -153,10 +156,14 @@ def validate_weakrep(table: WeakRepTable) -> WeakRepReport:
         )
 
     # Only a run's first triple can fail first: its steps must count up to the horizon.
+    # Distinct ascending steps count up with no gap exactly when the ends are len - 1 apart.
     monotonicity = _passed("monotonicity")
     for run in runs:
-        start = run[0][2]
-        missing = next((z for z, t in enumerate(run, start) if t[2] != z), start + len(run))
+        start, last = run[0][2], run[-1][2]
+        if len(run) - 1 == last - start:
+            missing = last + 1
+        else:
+            missing = next(z for z, t in enumerate(run, start) if t[2] != z)
         if missing <= horizon:
             monotonicity = BulletCheck(
                 "monotonicity", False, run[0],

@@ -7,6 +7,8 @@ call into its result or its error, so that a fast path and its oracle are
 compared with one `==`, errors included.
 """
 
+import csv
+import io
 from itertools import compress, count, islice
 from math import factorial
 
@@ -86,6 +88,28 @@ def loop_wct_blocks(masks):
             values.append(value)
         blocks.append(values)
     return blocks
+
+
+def walk_csv(report) -> str:
+    """`cli._emit_csv` by its definition: one `key,value` row per leaf, walked one item at a time."""
+    rows = []
+
+    def walk(obj, path):
+        if isinstance(obj, dict):
+            for key in sorted(obj):
+                walk(obj[key], f"{path}.{key}" if path else str(key))
+        elif isinstance(obj, (list, tuple)):
+            for i, item in enumerate(obj):
+                walk(item, f"{path}.{i}")
+        else:
+            rows.append((path, "" if obj is None else str(obj)))
+
+    walk(report, "")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["key", "value"])
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 # -- strategies ----------------------------------------------------------------

@@ -5,7 +5,8 @@ input files of FILES, and names them by relative path, so the paths its
 report echoes are the same in any checkout.  The cases cover every AC9
 invocation plus one for each input parser: values and codes files, guess,
 table, manifest and sigma files with blank and `#` lines, a failing CSV
-validation whose witness is a tuple, a step-witness table in shuffled order
+validation whose witness is a tuple, a CSV `of-program` table whose
+triples are quoted `x,y,z` rows, a step-witness table in shuffled order
 with a repeated line, an unsorted `list:` spec and a `file:` spec with
 mixed whitespace.  The `dom` and `hits` cases also cover table
 and `swapblocks` samplers, q = 3, a CSV report and a run where every input
@@ -190,6 +191,11 @@ CASES = {
     "pset-comments": (0, [
         "pset", "--values-file", "values.txt", "--manifest", "manifest-comments.txt",
         "--sigma-file", "sigma-comments.txt", "--checkpoints", "2,3",
+    ]),
+    # Every triple is a quoted `x,y,z` row of the bulk-flattened list.
+    "csv-weakrep-of-program-identity": (0, [
+        "--format", "csv", "weakrep", "of-program", "--manifest", "manifest.txt",
+        "--index", "0", "--horizon", "6",
     ]),
     "csv-weakrep-validate-bad": (1, [
         "--format", "csv", "weakrep", "validate", "--table-file", "bad-table.txt",

@@ -244,7 +244,10 @@ def test_traces_grow_one_set_through_the_steps(case, q):
     def running():
         return [set(trace) for trace in _traces(make(), q, steps)]
 
-    assert outcome(running) == outcome(each)
+    traces = outcome(running)
+    assert traces == outcome(each)
+    if isinstance(traces, list):  # a trace is read off (n+1)q values
+        assert all(len(trace) <= (n + 1) * q for n, trace in zip(steps, traces))
 
 
 @PROPERTY

@@ -1,9 +1,12 @@
 """Oracles for the bulk readers of integer data files and for the sorted view
 of step-witness tables.
 
-`codes._int_fields` parses a data file as one JSON array when every field is
-a JSON integer, and otherwise runs a caller's per-line reader, which names
-the first bad line or reads the `int()` literals JSON lacks.  The per-line
+`codes._int_fields` reads a file object's whole text: a text of digits,
+commas and newlines alone, with width - 1 commas a line, is one JSON array.
+Any other text is split at newlines and parsed as one JSON array when every
+field is a JSON integer, and otherwise runs a caller's per-line reader,
+which names the first bad line or reads the `int()` literals JSON lacks.
+Pinned files at each width take each side of that choice.  The per-line
 loops it replaced are kept here verbatim apart from their names: the table
 reader of `WeakRepTable.from_lines` (three fields a line), the `j,value`
 reader of `samplers.load_table_csv` (two) and the values-file reader of
@@ -152,6 +155,59 @@ def test_values_file_matches_the_per_line_reader(text, data_path):
     data_path.write_text(text)
     expected = outcome(line_values, data_path, catch=ValueError)
     assert outcome(_read_values, None, data_path, catch=ValueError) == expected
+
+
+# Pinned files, read through real files at each width.  `ROW[width](j, last)`
+# is line j of such a file, with `last` as its last field.
+ROW = {
+    1: lambda j, last: last,
+    2: lambda j, last: f"{j},{last}",
+    3: lambda j, last: f"{j},4,{last}",
+}
+PINNED = {
+    "no final newline": lambda row: row(0, "5") + "\n" + row(1, "6"),
+    "empty file": lambda row: "",
+    "lone newline": lambda row: "\n",
+    "crlf line ends": lambda row: row(0, "5") + "\r\n" + row(1, "6") + "\r\n",
+    "form feed": lambda row: row(0, "\x0c5") + "\n",
+    "leading zeros": lambda row: row(0, "007") + "\n",
+    "plus sign": lambda row: row(0, "+7") + "\n",
+    "underscore": lambda row: row(0, "1_000") + "\n",
+    "negative": lambda row: row(0, "-1") + "\n",
+    "empty field": lambda row: "0,,1\n",
+    "blank line": lambda row: row(0, "5") + "\n\n" + row(1, "6") + "\n",
+    "comment line": lambda row: row(0, "5") + "\n# note\n" + row(1, "6") + "\n",
+    "one comma too many": lambda row: row(0, "5") + "\n" + row(1, "6") + ",7\n",
+}
+
+
+def opened(read):
+    def read_path(path):
+        with open(path) as fh:
+            return read(fh)
+    return read_path
+
+
+READERS = {  # width -> (library reader, per-line oracle), each of a path
+    1: (lambda path: _read_values(None, path), line_values),
+    2: (load_table_csv, line_table_csv),
+    3: (opened(WeakRepTable.from_lines), opened(line_table)),
+}
+
+
+@pytest.mark.parametrize("width", sorted(READERS))
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_files_match_the_per_line_reader(case, width, tmp_path):
+    text = PINNED[case](ROW[width])
+    path = tmp_path / "data.txt"
+    path.write_bytes(text.encode())
+    read, oracle = READERS[width]
+    expected = outcome(oracle, path, catch=ValueError)
+    assert outcome(read, path, catch=ValueError) == expected
+    if width == 3:  # and from a text, or a file object that keeps "\r"
+        assert outcome(WeakRepTable.from_lines, text, catch=ValueError) == expected
+        in_memory = outcome(line_table, io.StringIO(text), catch=ValueError)
+        assert outcome(WeakRepTable.from_lines, io.StringIO(text), catch=ValueError) == in_memory
 
 
 # Blank lines, `#` lines, indented `#` lines and a `#` in mid-line.

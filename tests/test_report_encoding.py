@@ -1,4 +1,4 @@
-"""Oracle for the JSON report writer of the CLI.
+"""Oracles for the JSON and CSV report writers of the CLI.
 
 `cli._dump_json` must write exactly `json.dumps(obj, indent=2, sort_keys=True)`,
 or raise the same error, while it encodes each container of scalars, and
@@ -7,6 +7,12 @@ objects drawn here nest dicts, lists and tuples; hold empty containers and
 empty-dict records; use int keys; and carry NaN, infinities, ints past the
 decimal-digit limit, and strings with quotes, newlines, non-ASCII text and
 the very text that separates two indented records.
+
+`cli._emit_csv` must write exactly the rows of `oracles.walk_csv`, the
+recursive walk that visits one leaf at a time, while it flattens each list
+or tuple of exact `str` and `int` items in one call.  The reports drawn for
+it nest dicts, lists and tuples, hold empty lists, and mix ints, bools,
+`None`, floats and strings with commas, quotes and newlines.
 """
 
 import json
@@ -14,8 +20,8 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intdensity.cli import _dump_json
-from oracles import outcome
+from intdensity.cli import _dump_json, _emit_csv
+from oracles import outcome, walk_csv
 
 PROPERTY = settings(max_examples=400, deadline=None)
 
@@ -57,3 +63,29 @@ REPORTS = st.recursive(SCALARS | RECORDS, containers, max_leaves=24)
 @example(obj={"a": [{"x": 1}, {"y": [2]}]})
 def test_dump_json_matches_indented_dumps(obj):
     assert outcome(_dump_json, obj) == outcome(indented, obj)
+
+
+CSV_TEXT = st.text(max_size=6) | st.sampled_from([",", '"', "\n", "x,y,z", 'a "b", c', "\r\n", ""])
+CSV_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | CSV_TEXT
+CSV_KEYS = st.text("abxyz09._", max_size=4)
+# Lists of only str and int, the bulk path's kind, are drawn on their own too.
+CSV_LEAVES = CSV_SCALARS | st.lists(st.integers() | CSV_TEXT, max_size=6)
+CSV_REPORTS = st.dictionaries(CSV_KEYS, st.recursive(
+    CSV_LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(CSV_KEYS, children, max_size=4)
+    ),
+    max_leaves=24,
+), max_size=5)
+
+
+@PROPERTY
+@given(report=CSV_REPORTS)
+@example(report={"results": {"triples": ["0,0,1", "1,1,1"], "count": 2}, "checks": []})
+@example(report={"a": [1, True], "b": [None, "x"], "c": [1.5, 2], "d": ("q", 3), "e": []})
+@example(report={"a": ['say "hi"', "x\ny"], "b": [[1, 2], ["3"]], "c": [{"k": 1}]})
+@example(report={"big": [1, 10 ** 5000]})
+def test_emit_csv_matches_the_recursive_walk(report):
+    assert outcome(_emit_csv, report) == outcome(walk_csv, report)
