@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 from contextlib import suppress
-from itertools import chain, count, repeat
+from itertools import chain, count
 from math import isqrt
 from typing import Iterable
 
@@ -62,12 +62,10 @@ def _int_fields(lines, width: int, read_line) -> list[int]:
     A text, or a file object's whole text, of only digits, commas and
     newlines with width - 1 commas on every line is one JSON array of
     naturals once its newlines are commas.  Any other text is split at
-    "\\n" alone, and its data lines are parsed in C as one JSON array, kept
-    if every field is an int: a JSON integer is an `int()` literal of the
-    same value.  Only if that pass fails does read_line(index, line), the
-    caller's per-line reader, run on each line in turn: it raises at the
-    first bad line, with that line's own message, or reads the `int()`
-    literals that JSON lacks (`+7`, `007`, `1_000`).
+    "\\n" alone, and read_line(index, line), the caller's per-line reader,
+    runs on each of its data lines in turn: it raises at the first bad line,
+    with that line's own message, or reads the `int()` literals that JSON
+    lacks (`+7`, `007`, `1_000`).
     """
     text = lines if isinstance(lines, str) else lines.read() if hasattr(lines, "read") else None
     if text is not None:
@@ -77,15 +75,7 @@ def _int_fields(lines, width: int, read_line) -> list[int]:
             with suppress(ValueError):  # an empty field or a leading zero
                 return json.loads("[" + body.replace("\n", ",") + "]")
         lines = text.split("\n")
-    lines = _data_lines(lines)
-    if set(map(str.count, lines, repeat(","))) <= {width - 1}:
-        try:
-            fields = json.loads("[" + ",".join(lines) + "]")
-            if set(map(type, fields)) <= {int}:
-                return fields
-        except (ValueError, RecursionError):  # deep brackets exhaust the C scanner's stack
-            pass
-    return list(chain.from_iterable(map(read_line, count(), lines)))
+    return list(chain.from_iterable(map(read_line, count(), _data_lines(lines))))
 
 
 def _check_bits(bits: str, name: str = "bits") -> str:

@@ -3,8 +3,7 @@ of step-witness tables.
 
 `codes._int_fields` reads a file object's whole text: a text of digits,
 commas and newlines alone, with width - 1 commas a line, is one JSON array.
-Any other text is split at newlines and parsed as one JSON array when every
-field is a JSON integer, and otherwise runs a caller's per-line reader,
+Any other text is split at newlines and runs a caller's per-line reader,
 which names the first bad line or reads the `int()` literals JSON lacks.
 Pinned files at each width take each side of that choice.  The per-line
 loops it replaced are kept here verbatim apart from their names: the table
