@@ -403,48 +403,39 @@ _COMMANDS = {
 }
 
 
-class _Dispatch(argparse._SubParsersAction):
+def _declare(parser, table: dict, dest: str, argv: list) -> None:
     """Subparsers for the commands of `table`, each listed with its help.
 
-    A command's arguments are declared only when argparse dispatches to it,
-    just before its parser reads the rest of the command line, so a call
-    declares one command and its kind instead of all of them.
+    A command's arguments, or its kinds, are declared only when its name is
+    in `argv`, so a call declares the command it runs and its kind instead of
+    all of them.  A name that is only an option's value (`--table-file dom`)
+    declares its command too, which is harmless: argparse never dispatches
+    to it.
     """
-
-    def __init__(self, option_strings, table, **kwargs):
-        super().__init__(option_strings, **kwargs)
-        self._undeclared = dict(table)
-        for name, (help_text, *_) in table.items():
-            self.add_parser(name, help=help_text)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]  # argparse has checked it against the choices
-        if name in self._undeclared:
-            _declare(self._name_parser_map[name], name, self._undeclared.pop(name))
-        super().__call__(parser, namespace, values, option_string)
-
-
-def _declare(parser, name: str, command: tuple) -> None:
-    if len(command) == 2:
-        parser.add_subparsers(dest=f"{name}_kind", required=True, action=_Dispatch,
-                              table=command[1])
-        return
-    _, handler, arguments = command
-    for argument in arguments:
-        group = isinstance(argument, list)
-        target = parser.add_mutually_exclusive_group(required=True) if group else parser
-        for flag, options in argument if group else [argument]:
-            target.add_argument(flag, **options)
-    parser.set_defaults(handler=handler)
+    subparsers = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, *command) in table.items():
+        sub = subparsers.add_parser(name, help=help_text)
+        if name not in argv:
+            continue
+        if len(command) == 1:
+            _declare(sub, command[0], f"{name}_kind", argv)
+            continue
+        handler, arguments = command
+        for argument in arguments:
+            group = isinstance(argument, list)
+            target = sub.add_mutually_exclusive_group(required=True) if group else sub
+            for flag, options in argument if group else [argument]:
+                target.add_argument(flag, **options)
+        sub.set_defaults(handler=handler)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intdensity",
         description="Density-of-integer-sets experiments with exact arithmetic.",
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_subparsers(dest="command", required=True, action=_Dispatch, table=_COMMANDS)
+    _declare(parser, _COMMANDS, "command", argv)
     return parser
 
 
@@ -526,8 +517,8 @@ def _emit_csv(report: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _build_parser(argv).parse_args(argv)
     started = perf_counter()
     try:
         results, horizons, checks = args.handler(args)

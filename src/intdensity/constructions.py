@@ -391,12 +391,13 @@ def _wct_hits(stream: SetStream, blocks: Sequence[_WctBlock]) -> list[int]:
 
 
 def load_guess_lines(lines) -> dict[int, str]:
-    """Parse a guess map from `n:<bitstring>` lines (blank and `#` lines ignored)."""
+    """Parse a guess map from `n:<bitstring>` lines, one per block (blank and `#`
+    lines ignored)."""
     guesses: dict[int, str] = {}
     for line in _data_lines(lines):
         left, colon, right = line.partition(":")
         n = _int_field(left, line, "line")
-        if n < 1 or not colon or not _is_bits(right):
+        if n < 1 or not colon or not _is_bits(right) or n in guesses:
             raise ValueError(f"bad guess line {line!r}")
         guesses[n] = right
     return guesses
@@ -477,7 +478,7 @@ def hit_indices(sampler: Sampler, values: Sequence[int], q: int, horizon: int) -
         raise ValueError("function table does not cover [0, horizon)")
     image, error = sampler._read(horizon * q)
     first = dict(zip(reversed(image), range(len(image) - 1, -1, -1)))
-    codes = _graph_codes(values, min(horizon, len(image) // q))
+    codes = _graph_codes(values, max(0, min(horizon, len(image) // q)))
     hits = {m for m, code in enumerate(codes) if first.get(code, horizon * q) < (m + 1) * q}
     if error is not None:
         raise error

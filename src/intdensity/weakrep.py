@@ -415,14 +415,15 @@ class SigmaMap:
 
     @classmethod
     def parse(cls, lines) -> "SigmaMap":
-        """Parse `sigma:index` lines; a `default:<index>` line sets the default."""
+        """Parse `sigma:index` lines, one per sigma; one `default:<index>` line
+        sets the default."""
         entries: dict[str, int] = {}
         default = None
         for line in _data_lines(lines):
             left, _, right = line.partition(":")
-            if left == "default":
+            if left == "default" and default is None:
                 default = _int_field(right, line, "line")
-            elif _is_bits(left):
+            elif _is_bits(left) and left not in entries:
                 entries[left] = _int_field(right, line, "line")
             else:
                 raise ValueError(f"bad sigma map line {line!r}")

@@ -438,7 +438,7 @@ class TestRefusedInputs:
         monkeypatch.setattr(cli.SetStream, "from_spec", refuse)
         for nmax, reached in [("10", True), ("11", False)]:
             argv = ["wct", "--set", "seed:42", "--nmax", nmax, "--oracle-trace"]
-            args = cli._build_parser().parse_args(argv)
+            args = cli._build_parser(argv).parse_args(argv)
             with pytest.raises((LookupError, ValueError)) as err:
                 args.handler(args)
             assert (str(err.value) == "stream built") is reached
@@ -571,8 +571,14 @@ class TestDataLines:
         (["graph", "--values", "1,a"], "", "'1,a'"),
         (["wct", "--set", "evens", "--horizon", "64", "--nmax", "3", "--trace-file", "{data}"],
          "1:1\n2\n3:\n", "bad guess line '2'"),
+        (["wct", "--set", "evens", "--horizon", "64", "--nmax", "3", "--trace-file", "{data}"],
+         "1:1\n2:10\n1:0\n3:\n", "bad guess line '1:0'"),
+        (["pset", "--values", "0", "--manifest", "{manifest}", "--sigma-file", "{data}",
+          "--checkpoints", "2"], "0:0\n0:0\n", "bad sigma map line '0:0'"),
+        (["pset", "--values", "0", "--manifest", "{manifest}", "--sigma-file", "{data}",
+          "--checkpoints", "2"], "default:0\ndefault:0\n", "bad sigma map line 'default:0'"),
     ], ids=["guess", "sigma", "table-field", "table-width", "csv", "values-file", "values-list",
-            "guess-colon"])
+            "guess-colon", "guess-repeat", "sigma-repeat", "sigma-default-repeat"])
     def test_malformed_integer_names_its_line(self, capsys, tmp_path, argv, text, quoted):
         data, manifest = tmp_path / "data.txt", tmp_path / "manifest.txt"
         data.write_text(text)

@@ -1,13 +1,14 @@
 """The CLI parser against the eagerly built parser it replaced.
 
-`cli._build_parser` lists every command with its help but declares the
-arguments of only the command (and kind) that argparse dispatches to.  The
-parser it replaced, which declared every argument of every command on each
-call, is copied below verbatim as the oracle.  Both must print the same
-help and the same usage errors, byte for byte, and parse every README
-example and golden invocation to the same namespace.  Help is compared
-with the oracle rather than with recorded files, because argparse's help
-layout differs between Python versions.
+`cli._build_parser(argv)` lists every command with its help but declares
+the arguments of only the commands (and kinds) whose names are in argv.
+The parser it replaced, which declared every argument of every command on
+each call, is copied below verbatim as the oracle.  Both must print the
+same help and the same usage errors, byte for byte, and parse every README
+example and golden invocation to the same namespace, as well as command
+lines whose option values are other commands' or kinds' names.  Help is
+compared with the oracle rather than with recorded files, because
+argparse's help layout differs between Python versions.
 """
 
 import argparse
@@ -196,6 +197,8 @@ ERRORS = [
     ["weakrep", "of-program", "--manifest", "m.txt", "--index", "0"],
     ["weakrep", "interleave", "--manifest", "m.txt", "--budget", "1.5"],
     ["pset", "--values", "0", "--manifest", "m.txt", "--checkpoints", "2"],
+    ["graph", "--values-file", "dom", "--values", "1"],  # an option's value names a command
+    ["codes", "pair", "--x", "validate", "--y", "2"],
 ]
 
 
@@ -217,6 +220,13 @@ VALID = readme_examples() + [argv for _, argv in CASES.values()] + [
     ["--form", "csv", "codes", "pair", "--x", "1", "--y", "2"],
     ["dom", "--samp", "identity", "--f-values", "1,2", "--q", "1", "--nmax", "1"],
     ["tree-decode", "--prefix", "evens", "--q", "1", "--depth", "2", "--full", "0"],
+    # Option values that are other commands' or kinds' names.
+    ["weakrep", "validate", "--table-file", "dom"],
+    ["graph", "--values-file", "pair"],
+    ["weakrep", "of-program", "--manifest", "codes", "--index", "0", "--horizon", "1"],
+    ["wct", "--set", "evens", "--nmax", "2", "--trace-file", "interleave"],
+    ["codes", "string", "--encode", "weakrep"],
+    ["--format", "csv", "hits", "--sampler", "trace", "--values", "1", "--q", "1"],
 ]
 
 
@@ -261,8 +271,8 @@ def test_usage_errors_match_the_oracle(argv, capsys):
 def test_namespaces_match_the_oracle(argv, capsys):
     expected = outcome(lambda a: _build_parser().parse_args(a), argv, capsys)
     assert expected[3] is not None
-    assert outcome(lambda a: cli._build_parser().parse_args(a), argv, capsys) == expected
-    assert callable(cli._build_parser().parse_args(argv).handler)
+    assert outcome(lambda a: cli._build_parser(a).parse_args(a), argv, capsys) == expected
+    assert callable(cli._build_parser(argv).parse_args(argv).handler)
 
 
 def test_only_the_chosen_command_is_declared(monkeypatch):
@@ -275,12 +285,27 @@ def test_only_the_chosen_command_is_declared(monkeypatch):
 
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", recording)
     argv = ["codes", "pair", "--x", "1", "--y", "2"]
-    assert cli._build_parser().parse_args(argv).codes_kind == "pair"
+    assert cli._build_parser(argv).parse_args(argv).codes_kind == "pair"
     assert sorted(set(declared)) == ["--decode", "--format", "--help", "--x", "--y", "-h"]
     assert declared.count("-h") == 1 + len(COMMANDS) + len(KINDS["codes"])
 
 
 def test_a_parser_parses_twice():
-    parser = cli._build_parser()
+    # A parser built for one argv parses it again, and any argv of the same command.
+    argv = ["codes", "pair", "--x", "1"]
+    parser = cli._build_parser(argv)
+    assert parser.parse_args(argv) == parser.parse_args(argv)
     for x in ("1", "2"):
         assert parser.parse_args(["codes", "pair", "--x", x]).x == int(x)
+
+
+def test_main_reads_sys_argv_and_any_iterable(monkeypatch, capsys):
+    argv = ["codes", "pair", "--x", "3", "--y", "4"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    assert '"code": 32' in expected
+    assert cli.main(iter(argv)) == 0
+    assert capsys.readouterr().out == expected
+    monkeypatch.setattr("sys.argv", ["intdensity", *argv])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == expected

@@ -293,7 +293,7 @@ class TestWctInjection:
         text = format_guess_lines(guesses)
         assert text == "1:1\n2:10\n5:\n"
         assert load_guess_lines(text.splitlines()) == guesses
-        for line in ["2:10x", "2"]:
+        for line in ["2:10x", "2", "1:0", "1:1"]:  # one line per block
             with pytest.raises(ValueError) as err:
                 load_guess_lines(["1:1", line, "3:"])
             assert str(err.value) == f"bad guess line {line!r}"

@@ -151,9 +151,10 @@ BULK = BUILTINS | tables()
 SAMPLERS = BULK | programs()
 # Tables of pair codes and the other samplers of the `dom` tests, as factories.
 ADVERSARY = adversary_samplers().map(lambda sampler: lambda: sampler)
-# Function tables of small values or of pair values, and a horizon up to two past the end.
+# Function tables of small values or of pair values, and a horizon from -2 up to two
+# past the end.
 HIT_TABLES = (st.lists(st.integers(-1, 6), max_size=16) | pair_values()).flatmap(
-    lambda values: st.tuples(st.just(values), st.integers(0, len(values) + 2))
+    lambda values: st.tuples(st.just(values), st.integers(-2, len(values) + 2))
 )
 
 
@@ -256,6 +257,7 @@ def test_traces_grow_one_set_through_the_steps(case, q):
          q=1, table=([0] * 6, 6))
 @example(make=Sampler.identity, q=1, table=([2, True], 2))
 @example(make=Sampler.identity, q=1, table=([2, -1], 2))
+@example(make=Sampler.identity, q=1, table=([0, 1, 2], -1))
 def test_hit_indices(make, q, table):
     values, cut = table
     expected = outcome(loop_hit_indices, make(), values, q, cut)

@@ -349,6 +349,10 @@ class TestSigmaMapAndPBound:
         assert parsed.format_lines() == ":2\n01:3\ndefault:0\n"
         with pytest.raises(ValueError):
             SigmaMap.parse(["abc:1"])
+        for lines in (["01:3", "1:2", "01:3"], [":2", ":4"], ["default:0", "01:3", "default:1"]):
+            with pytest.raises(ValueError) as err:  # one line per sigma, one default
+                SigmaMap.parse(lines)
+            assert str(err.value) == f"bad sigma map line {lines[-1]!r}"
 
     def test_unmapped_string_without_default(self):
         bare = SigmaMap(entries={"0": 1}, default=None)
