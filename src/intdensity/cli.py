@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import factorial
 from time import perf_counter
@@ -21,7 +22,6 @@ from time import perf_counter
 from . import constructions as cons
 from . import weakrep as wr
 from .codes import (
-    _check_natural,
     _int_field,
     _int_fields,
     cantor_pair,
@@ -106,7 +106,7 @@ def _run_density(args):
 
 def _run_prefix_set(args):
     stream = SetStream.from_spec(args.set, args.horizon)
-    if _check_natural(args.count, "--count") > stream.horizon + 1:
+    if args.count > stream.horizon + 1:
         raise ValueError(f"--count needs prefixes up to length {args.count - 1}")
     codes = [string_code(stream.prefix(k)) for k in range(args.count)]
     members = cons.prefix_set(stream)
@@ -120,8 +120,6 @@ def _run_tree_decode(args):
     horizons = {}
     if args.prefix_sampler_of is not None:
         needed = 2 * args.q * args.depth
-        if args.set_horizon is None:  # the default horizon 2q*depth needs a valid tree shape
-            cons._check_tree_shape(args.q, args.full_height, args.depth)
         horizon = needed if args.set_horizon is None else args.set_horizon
         stream = SetStream.from_spec(args.prefix_sampler_of, horizon)
         sampler = cons.prefix_code_sampler(stream, needed)
@@ -221,7 +219,7 @@ def _run_trace(args):
 def _run_hits(args):
     sampler = parse_sampler(args.sampler)
     values = _read_values(args.values, args.values_file)
-    horizon = len(values) if args.horizon is None else _check_natural(args.horizon, "--horizon")
+    horizon = len(values) if args.horizon is None else args.horizon
     hits = sorted(cons.hit_indices(sampler, values, args.q, horizon))
     checks = []
     for m, trace in zip(hits, cons._traces(sampler, args.q, hits)):
@@ -300,15 +298,14 @@ def _run_of_program(args):
 def _run_interleave(args):
     registry = _load_registry(args)
     derived = wr.interleave_family(registry)
-    grid = _check_natural(args.grid, "--grid")
-    evals = [[derived.eval(d, x) for x in range(grid)] for d in range(len(derived))]
+    evals = [[derived.eval(d, x) for x in range(args.grid)] for d in range(len(derived))]
     checks = []
     for e in range(len(registry)):
         ok = all(
             evals[2 * e][2 * m] == evals[2 * e][2 * m + 1] == registry.eval(e, m)
-            for m in range(grid // 2)
-        ) and all(evals[2 * e + 1][x] == registry.eval(e, x) for x in range(grid))
-        checks.append(_check(f"interleave_{e}", ok, f"grid {grid}"))
+            for m in range(args.grid // 2)
+        ) and all(evals[2 * e + 1][x] == registry.eval(e, x) for x in range(args.grid))
+        checks.append(_check(f"interleave_{e}", ok, f"grid {args.grid}"))
     return {"evaluations": evals}, {}, checks
 
 
@@ -333,7 +330,9 @@ def _load_registry(args) -> wr.FamilyRegistry:
 #
 # A command is (help, handler, arguments), or (help, kinds) when its kinds
 # are commands of their own.  An argument is (flag, add_argument options),
-# and a list of arguments is a required mutually exclusive group.
+# and a list of arguments is a required mutually exclusive group.  A size
+# option adds its least value, (flag, options, least); `_sized` refuses a
+# smaller value given, naming the flag, before the handler runs.
 
 _INT, _NEEDED, _NEEDED_INT = {"type": int}, {"required": True}, {"type": int, "required": True}
 
@@ -345,39 +344,39 @@ def _source(flag: str, dest: str = None) -> list:
 
 
 # The program manifest and the step budget its programs run under.
-_REGISTRY = [("--manifest", _NEEDED), ("--budget", {"type": int, "default": 64})]
+_REGISTRY = [("--manifest", _NEEDED), ("--budget", {"type": int, "default": 64}, 1)]
 
 _COMMANDS = {
     "density": ("partial densities at checkpoints", _run_density, [
-        ("--set", _NEEDED), ("--checkpoints", _NEEDED), ("--horizon", _INT), ("--sampler", {}),
+        ("--set", _NEEDED), ("--checkpoints", _NEEDED), ("--horizon", _INT, 0), ("--sampler", {}),
         ("--direction", {"choices": ("preimage", "image"), "default": "preimage"}),
     ]),
     "prefix-set": ("codes of a stream's finite prefixes", _run_prefix_set, [
-        ("--set", _NEEDED), ("--horizon", _INT), ("--count", {"type": int, "default": 8}),
+        ("--set", _NEEDED), ("--horizon", _INT, 0), ("--count", {"type": int, "default": 8}, 0),
     ]),
     "tree-decode": ("bounded-width decoding tree", _run_tree_decode, [
-        [("--sampler", {}), ("--prefix-sampler-of", {})], ("--set-horizon", _INT),
-        ("--q", _NEEDED_INT), ("--full-height", {"type": int, "default": 1}),
-        ("--depth", _NEEDED_INT),
+        [("--sampler", {}), ("--prefix-sampler-of", {})], ("--set-horizon", _INT, 0),
+        ("--q", _NEEDED_INT, 1), ("--full-height", {"type": int, "default": 1}, 0),
+        ("--depth", _NEEDED_INT, 0),
     ]),
     "introreduce": ("merge prefix codes back into bits", _run_introreduce, [_source("codes")]),
     "wct": ("guess-driven injection densities", _run_wct, [
-        ("--set", _NEEDED), ("--horizon", _INT), ("--nmax", _NEEDED_INT),
+        ("--set", _NEEDED), ("--horizon", _INT, 0), ("--nmax", _NEEDED_INT, 1),
         [("--oracle-trace", {"action": "store_true"}), ("--trace-file", {})],
         ("--include-table", {"action": "store_true"}),
     ]),
     "graph": ("graph of a function table as pair codes", _run_graph, [
-        _source("values"), ("--horizon", _INT),
+        _source("values"), ("--horizon", _INT, 0),
     ]),
     "trace": ("candidate values read off a sampler image", _run_trace, [
-        ("--sampler", _NEEDED), ("--q", _NEEDED_INT), ("--n", _NEEDED_INT),
+        ("--sampler", _NEEDED), ("--q", _NEEDED_INT, 1), ("--n", _NEEDED_INT, 0),
     ]),
     "hits": ("inputs whose graph point the sampler reaches", _run_hits, [
-        ("--sampler", _NEEDED), _source("values"), ("--q", _NEEDED_INT), ("--horizon", _INT),
+        ("--sampler", _NEEDED), _source("values"), ("--q", _NEEDED_INT, 1), ("--horizon", _INT, 0),
     ]),
     "dom": ("adversary bound against a dominating table", _run_dom, [
-        ("--sampler", _NEEDED), _source("f-values", "values"), ("--q", _NEEDED_INT),
-        ("--nmax", _NEEDED_INT),
+        ("--sampler", _NEEDED), _source("f-values", "values"), ("--q", _NEEDED_INT, 1),
+        ("--nmax", _NEEDED_INT, 0),
     ]),
     "codes": ("coding bijections", {
         "k": ("self-delimiting integer code", _run_codes, [("--n", _INT), ("--decode", {})]),
@@ -391,11 +390,11 @@ _COMMANDS = {
     }),
     "weakrep": ("step-witness tables and registries", {
         "validate": ("check the four table invariants", _run_validate, [
-            ("--table-file", _NEEDED), ("--horizon", _INT)]),
+            ("--table-file", _NEEDED), ("--horizon", _INT, 0)]),
         "of-program": ("table of a registry program", _run_of_program, [
-            *_REGISTRY, ("--index", _NEEDED_INT), ("--horizon", _NEEDED_INT)]),
+            *_REGISTRY, ("--index", _NEEDED_INT), ("--horizon", _NEEDED_INT, 0)]),
         "interleave": ("even/odd family duplication", _run_interleave, [
-            *_REGISTRY, ("--grid", {"type": int, "default": 8})]),
+            *_REGISTRY, ("--grid", {"type": int, "default": 8}, 0)]),
     }),
     "pset": ("graph-prefix codes at query-string bounds", _run_pset, [
         _source("values"), *_REGISTRY, ("--sigma-file", _NEEDED), ("--checkpoints", _NEEDED),
@@ -421,12 +420,23 @@ def _declare(parser, table: dict, dest: str, argv: list) -> None:
             _declare(sub, command[0], f"{name}_kind", argv)
             continue
         handler, arguments = command
+        sizes = []
         for argument in arguments:
             group = isinstance(argument, list)
             target = sub.add_mutually_exclusive_group(required=True) if group else sub
-            for flag, options in argument if group else [argument]:
-                target.add_argument(flag, **options)
-        sub.set_defaults(handler=handler)
+            for flag, options, *least in argument if group else [argument]:
+                action = target.add_argument(flag, **options)
+                sizes += [(flag, action.dest, n) for n in least]
+        sub.set_defaults(handler=partial(_sized, sizes, handler))
+
+
+def _sized(sizes: list, handler, args):
+    for flag, dest, least in sizes:
+        value = getattr(args, dest)
+        if value is not None and value < least:
+            floor = "a natural number" if least == 0 else f">= {least}"
+            raise ValueError(f"{flag} must be {floor}, got {value}")
+    return handler(args)
 
 
 def _build_parser(argv: list) -> argparse.ArgumentParser:

@@ -1,6 +1,7 @@
 """CLI: payloads, exit codes, determinism, both output formats."""
 
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -255,14 +256,14 @@ class TestRefusedInputs:
         [
             (["codes", "setcode"], "error: setcode needs --members or --decode"),
             (["trace", "--sampler", "double", "--q", "1", "--n", "-5"],
-             "error: n must be a natural number"),
+             "error: --n must be a natural number, got -5"),
             (["codes", "setcode", "--members", "20000"], "error: Exceeds the limit"),
             (["--format", "csv", "codes", "setcode", "--members", "20000"],
              "error: Exceeds the limit"),
             (["dom", "--sampler", "identity", "--f-values", "1,2", "--q", "0", "--nmax", "1"],
-             "error: q must be >= 1"),
+             "error: --q must be >= 1, got 0"),
             (["hits", "--sampler", "identity", "--values", "0,0", "--q", "0"],
-             "error: q must be >= 1"),
+             "error: --q must be >= 1, got 0"),
             (["prefix-set", "--set", "evens", "--horizon", "10", "--count", "-3"],
              "error: --count must be a natural number, got -3"),
             (["hits", "--sampler", "identity", "--values", "0,1", "--q", "1", "--horizon", "-1"],
@@ -275,7 +276,7 @@ class TestRefusedInputs:
             (["density", "--set", "seed:1", "--checkpoints", ","],
              "error: at least one checkpoint is required"),
             (["density", "--set", "evens", "--checkpoints", "4", "--horizon", "-1"],
-             "error: horizon must be a natural number"),
+             "error: --horizon must be a natural number, got -1"),
             (["density", "--set", "seed:18446744073709551616", "--checkpoints", "4"],
              "error: seed must fit in 64 bits"),
             (["density", "--set", "seed:1:p=3/2", "--checkpoints", "4"],
@@ -287,21 +288,28 @@ class TestRefusedInputs:
             (["prefix-set", "--set", "evens", "--horizon", "3", "--count", "9"],
              "error: --count needs prefixes up to length 8"),
             (["wct", "--set", "evens", "--horizon", "10", "--nmax", "0", "--oracle-trace"],
-             "error: max_n must be >= 1"),
+             "error: --nmax must be >= 1, got 0"),
             (["wct", "--set", "evens", "--horizon", "100", "--nmax", "3",
               "--trace-file", "trace.txt"],
              "error: trace file lacks guesses for blocks [2, 3]"),
             (["tree-decode", "--sampler", "identity", "--q", "1", "--depth", "-1"],
-             "error: heights must be naturals"),
+             "error: --depth must be a natural number, got -1"),
             (["weakrep", "of-program", "--manifest", "manifest.txt", "--index", "0",
               "--horizon", "-1"],
-             "error: horizon must be a natural number"),
+             "error: --horizon must be a natural number, got -1"),
             (["codes", "c", "--n", "3", "--decode", "1111"],
              "error: decoded value 15 is not below n^2 = 9"),
             (["tree-decode", "--prefix-sampler-of", "evens", "--q", "1", "--depth", "-2"],
-             "error: heights must be naturals"),
+             "error: --depth must be a natural number, got -2"),
             (["tree-decode", "--prefix-sampler-of", "evens", "--q", "-1", "--depth", "2"],
-             "error: q must be >= 1"),
+             "error: --q must be >= 1, got -1"),
+            (["graph", "--values", "1,2", "--horizon", "-1"],
+             "error: --horizon must be a natural number, got -1"),
+            (["dom", "--sampler", "identity", "--f-values", "1,2", "--q", "1", "--nmax", "-1"],
+             "error: --nmax must be a natural number, got -1"),
+            # A size is checked before any file is opened.
+            (["weakrep", "validate", "--table-file", "missing.txt", "--horizon", "-1"],
+             "error: --horizon must be a natural number, got -1"),
         ],
     )
     def test_exit_two_with_one_error_line(self, capsys, monkeypatch, tmp_path, argv, message):
@@ -359,14 +367,6 @@ class TestRefusedInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: input 3 outside sampler domain [0, 3)\n"
-
-    def test_dom_without_rows_ignores_q(self, capsys):
-        code, report = run_json(
-            capsys, "dom", "--sampler", "identity", "--f-values", "1", "--q", "0", "--nmax", "-1"
-        )
-        assert code == 0
-        assert report["results"] == {"rows": []}
-        assert report["checks"] == []
 
     def test_wct_past_the_table_budget_is_refused_before_allocating(self, capsys):
         argv = ["wct", "--set", "seed:42", "--horizon", "1000000000000", "--nmax", "11",
@@ -447,6 +447,90 @@ class TestRefusedInputs:
         code, report = run_json(capsys, "codes", "setcode", "--members", "14000")
         assert code == 0
         assert report["results"]["code"] == 1 << 14000
+
+
+def _declared(table, prefix=""):
+    """(command, flag, options, least values) of every argument in a command table."""
+    for name, (_, *command) in table.items():
+        if len(command) == 1:
+            yield from _declared(command[0], f"{prefix}{name} ")
+            continue
+        for argument in command[1]:
+            for flag, options, *least in argument if isinstance(argument, list) else [argument]:
+                yield prefix + name, flag, options, least
+
+
+DECLARED = list(_declared(cli._COMMANDS))
+SIZES = {(command, flag): least[0] for command, flag, _, least in DECLARED if least}
+
+# The rest of a valid command line for each command or kind with a size
+# option, run where table.txt, manifest.txt and sigma.txt are.
+SIZE_BASES = {
+    "density": ["--set", "evens", "--checkpoints", "2"],
+    "prefix-set": ["--set", "evens", "--horizon", "16"],
+    "tree-decode": ["--sampler", "identity", "--q", "1", "--depth", "1"],
+    "wct": ["--set", "evens", "--horizon", "16", "--nmax", "1", "--oracle-trace"],
+    "graph": ["--values", "1,2"],
+    "trace": ["--sampler", "identity", "--q", "1", "--n", "1"],
+    "hits": ["--sampler", "identity", "--values", "0,1", "--q", "1"],
+    "dom": ["--sampler", "identity", "--f-values", "1,2", "--q", "1", "--nmax", "1"],
+    "weakrep validate": ["--table-file", "table.txt"],
+    "weakrep of-program": ["--manifest", "manifest.txt", "--index", "0", "--horizon", "2"],
+    "weakrep interleave": ["--manifest", "manifest.txt"],
+    "pset": ["--values", "0,2", "--manifest", "manifest.txt", "--sigma-file", "sigma.txt",
+             "--checkpoints", "2"],
+}
+
+
+def run_sized(command, flag, value):
+    return main([*command.split(), *SIZE_BASES[command], flag, str(value)])
+
+
+class TestDeclaredSizes:
+    """Every size option of `cli._COMMANDS` is refused below its least value, by name."""
+
+    @pytest.fixture(autouse=True)
+    def inputs(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "table.txt").write_text("0,2,3\n0,2,4\n0,2,5\n0,2,6\n")
+        (tmp_path / "manifest.txt").write_text("identity\nconst:3\n")
+        (tmp_path / "sigma.txt").write_text("1:1\ndefault:0\n")
+
+    def test_the_declared_sizes(self):
+        assert SIZES == {
+            ("density", "--horizon"): 0, ("prefix-set", "--horizon"): 0,
+            ("prefix-set", "--count"): 0, ("tree-decode", "--set-horizon"): 0,
+            ("tree-decode", "--q"): 1, ("tree-decode", "--full-height"): 0,
+            ("tree-decode", "--depth"): 0, ("wct", "--horizon"): 0, ("wct", "--nmax"): 1,
+            ("graph", "--horizon"): 0, ("trace", "--q"): 1, ("trace", "--n"): 0,
+            ("hits", "--q"): 1, ("hits", "--horizon"): 0, ("dom", "--q"): 1,
+            ("dom", "--nmax"): 0, ("weakrep validate", "--horizon"): 0,
+            ("weakrep of-program", "--budget"): 1, ("weakrep of-program", "--horizon"): 0,
+            ("weakrep interleave", "--budget"): 1, ("weakrep interleave", "--grid"): 0,
+            ("pset", "--budget"): 1,
+        }
+
+    def test_every_integer_option_but_codes_and_the_index_is_a_size(self):
+        unsized = [(command, flag) for command, flag, options, least in DECLARED
+                   if options.get("type") is int and not least]
+        assert [c for c in unsized if not c[0].startswith("codes ")] == [
+            ("weakrep of-program", "--index")]
+
+    @pytest.mark.parametrize("size", SIZES, ids=" ".join)
+    def test_below_the_least_value_exits_two_naming_the_flag(self, capsys, size):
+        (command, flag), least = size, SIZES[size]
+        assert run_sized(command, flag, least - 1) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        floor = "a natural number" if least == 0 else f">= {least}"
+        assert captured.err == f"error: {flag} must be {floor}, got {least - 1}\n"
+
+    @pytest.mark.parametrize("size", SIZES, ids=" ".join)
+    def test_the_least_value_passes_the_check(self, capsys, size):
+        # The run may still fail later (a horizon of 0 covers no checkpoint).
+        command, flag = size
+        run_sized(command, flag, SIZES[size])
+        assert re.search(rf"{flag}\b", capsys.readouterr().err) is None
 
 
 class TestWeakrepCommands:
