@@ -75,6 +75,8 @@ def _run_density(args):
         raise ValueError("at least one checkpoint is required")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
+    if checkpoints[0] < 1:
+        raise ValueError(f"--checkpoints must be >= 1, got {checkpoints[0]}")
     horizon = max(checkpoints) if args.horizon is None else args.horizon
     if args.sampler is None:
         stream = SetStream.from_spec(args.set, horizon)
@@ -405,16 +407,17 @@ _COMMANDS = {
 def _declare(parser, table: dict, dest: str, argv: list) -> None:
     """Subparsers for the commands of `table`, each listed with its help.
 
-    A command's arguments, or its kinds, are declared only when its name is
-    in `argv`, so a call declares the command it runs and its kind instead of
-    all of them.  A name that is only an option's value (`--table-file dom`)
-    declares its command too, which is harmless: argparse never dispatches
-    to it.
+    Every command is listed, for help, usage lines and `invalid choice`
+    errors, but only a command whose name is in `argv` gets a parser, with
+    its arguments or its kinds; any other is mapped to None.  argparse
+    dispatches only to a name in argv, so a call builds the parsers of the
+    command it runs and its kind and no others.  A name that is only an
+    option's value (`--table-file dom`) is built too, which is harmless.
     """
-    subparsers = parser.add_subparsers(dest=dest, required=True)
+    subparsers = parser.add_subparsers(dest=dest, required=True, parser_class=_parser)
     for name, (help_text, *command) in table.items():
-        sub = subparsers.add_parser(name, help=help_text)
-        if name not in argv:
+        sub = subparsers.add_parser(name, help=help_text, declared=name in argv)
+        if sub is None:
             continue
         if len(command) == 1:
             _declare(sub, command[0], f"{name}_kind", argv)
@@ -428,6 +431,11 @@ def _declare(parser, table: dict, dest: str, argv: list) -> None:
                 action = target.add_argument(flag, **options)
                 sizes += [(flag, action.dest, n) for n in least]
         sub.set_defaults(handler=partial(_sized, sizes, handler))
+
+
+def _parser(declared: bool, **options):
+    """`_declare`'s parser class: a parser for a command that argv names, else None."""
+    return argparse.ArgumentParser(**options) if declared else None
 
 
 def _sized(sizes: list, handler, args):

@@ -134,21 +134,31 @@ def validate_weakrep(table: WeakRepTable) -> WeakRepReport:
     """Check the four invariants, with a witnessing triple for each failure.
 
     Every check reads the (x, y) runs of ascending steps, in (x, y) order.
-    Monotonicity is settled from each run's two ends; only a run with a gap
-    is scanned triple by triple, for its first missing step.
+    A run is a range of indices into the sorted triples; one longer than a
+    triple ends where bisection finds the next key.  Checks read a run's
+    ends, and scan its slice only for a gap or for a step past the horizon.
     """
     horizon = table.horizon
-    runs = [list(run) for _, run in groupby(table.sorted_triples, itemgetter(0, 1))]
+    rows = table.sorted_triples
+    runs, e, n = [], 0, len(rows)
+    while e < n:
+        s, (x, y, _) = e, rows[e]
+        e += 1
+        if e < n and rows[e][1] == y and rows[e][0] == x:
+            e = bisect_left(rows, (x, y + 1), e)  # every (x, y, z) sorts below (x, y + 1)
+        runs.append((s, e))
+    heads = [rows[s] for s, _ in runs]
 
     representation = _passed("representation")
-    late = next((t for run in runs if run[-1][2] > horizon for t in run if t[2] > horizon), None)
+    late = next((t for s, e in runs if rows[e - 1][2] > horizon
+                 for t in rows[s:e] if t[2] > horizon), None)
     if late is not None:
         representation = BulletCheck(
             "representation", False, late, f"witness step {late[2]} exceeds horizon {horizon}"
         )
 
     consistency = _passed("consistency")
-    clash = next(((a[0], b[0]) for a, b in zip(runs, runs[1:]) if a[0][0] == b[0][0]), None)
+    clash = next(((a, b) for a, b in zip(heads, heads[1:]) if a[0] == b[0]), None)
     if clash is not None:
         consistency = BulletCheck(
             "consistency", False, clash,
@@ -158,27 +168,27 @@ def validate_weakrep(table: WeakRepTable) -> WeakRepReport:
     # Only a run's first triple can fail first: its steps must count up to the horizon.
     # Distinct ascending steps count up with no gap exactly when the ends are len - 1 apart.
     monotonicity = _passed("monotonicity")
-    for run in runs:
-        start, last = run[0][2], run[-1][2]
-        if len(run) - 1 == last - start:
+    for s, e in runs:
+        start, last = rows[s][2], rows[e - 1][2]
+        if e - s - 1 == last - start:
             missing = last + 1
         else:
-            missing = next(z for z, t in enumerate(run, start) if t[2] != z)
+            missing = next(z for z, t in enumerate(rows[s:e], start) if t[2] != z)
         if missing <= horizon:
             monotonicity = BulletCheck(
-                "monotonicity", False, run[0],
+                "monotonicity", False, rows[s],
                 f"witness persists to step {missing - 1} but not {missing}",
             )
             break
 
     # Each input's first triple; the first input unequal to its index lies above the least gap.
     downward = _passed("downward_closure")
-    heads = [next(group)[0] for _, group in groupby(runs, lambda run: run[0][0])]
-    gap = next((i for i, t in enumerate(heads) if t[0] != i), None)
+    firsts = [next(group) for _, group in groupby(heads, itemgetter(0))]
+    gap = next((i for i, t in enumerate(firsts) if t[0] != i), None)
     if gap is not None:
         downward = BulletCheck(
-            "downward_closure", False, heads[gap],
-            f"input {heads[gap][0]} is witnessed but {gap} is not",
+            "downward_closure", False, firsts[gap],
+            f"input {firsts[gap][0]} is witnessed but {gap} is not",
         )
 
     return WeakRepReport((representation, consistency, monotonicity, downward))

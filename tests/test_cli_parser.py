@@ -1,13 +1,14 @@
 """The CLI parser against the eagerly built parser it replaced.
 
-`cli._build_parser(argv)` lists every command with its help but declares
-the arguments of only the commands (and kinds) whose names are in argv.
-The parser it replaced, which declared every argument of every command on
-each call, is copied below verbatim as the oracle.  Both must print the
-same help and the same usage errors, byte for byte, and parse every README
-example and golden invocation to the same namespace, as well as command
-lines whose option values are other commands' or kinds' names.  Help is
-compared with the oracle rather than with recorded files, because
+`cli._build_parser(argv)` lists every command with its help, but builds a
+parser, with its arguments, only for the commands (and kinds) whose names
+are in argv; a command or kind that argv does not name is listed but gets
+no parser.  The parser it replaced, which declared every argument of every
+command on each call, is copied below verbatim as the oracle.  Both must
+print the same help and the same usage errors, byte for byte, and parse
+every README example and golden invocation to the same namespace, as well
+as command lines whose option values are other commands' or kinds' names.
+Help is compared with the oracle rather than with recorded files, because
 argparse's help layout differs between Python versions.
 """
 
@@ -199,6 +200,10 @@ ERRORS = [
     ["pset", "--values", "0", "--manifest", "m.txt", "--checkpoints", "2"],
     ["graph", "--values-file", "dom", "--values", "1"],  # an option's value names a command
     ["codes", "pair", "--x", "validate", "--y", "2"],
+    # An unknown name, with a listed but unbuilt name later in argv.
+    ["bogus", "--set", "dom"],
+    ["codes", "bogus", "--x", "pair"],
+    ["weakrep", "bogus", "--manifest", "validate"],
 ]
 
 
@@ -287,7 +292,31 @@ def test_only_the_chosen_command_is_declared(monkeypatch):
     argv = ["codes", "pair", "--x", "1", "--y", "2"]
     assert cli._build_parser(argv).parse_args(argv).codes_kind == "pair"
     assert sorted(set(declared)) == ["--decode", "--format", "--help", "--x", "--y", "-h"]
-    assert declared.count("-h") == 1 + len(COMMANDS) + len(KINDS["codes"])
+    assert declared.count("-h") == 3
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["dom", "--sampler", "identity", "--f-values", "1,2,4,8", "--q", "2", "--nmax", "3"], 2),
+    (["codes", "pair", "--x", "1", "--y", "2"], 3),
+    (["--help"], 1),
+    (["bogus"], 1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_a_call_builds_the_parsers_of_its_command_and_kind(argv, built, monkeypatch, capsys):
+    # The top parser, the command's and the kind's: no parser for a name argv leaves out.
+    calls = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    try:
+        cli.main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert len(calls) == built, calls
 
 
 def test_a_parser_parses_twice():
