@@ -277,17 +277,6 @@ class TestRefusedInputs:
              "error: at least one checkpoint is required"),
             (["density", "--set", "evens", "--checkpoints", "4", "--horizon", "-1"],
              "error: --horizon must be a natural number, got -1"),
-            # A checkpoint below 1 is refused before any stream or sampler is built.
-            (["density", "--set", "evens", "--checkpoints", "-5"],
-             "error: --checkpoints must be >= 1, got -5"),
-            (["density", "--set", "evens", "--checkpoints", "-5", "--direction", "image"],
-             "error: --checkpoints must be >= 1, got -5"),
-            (["density", "--set", "evens", "--checkpoints", "-5", "--sampler", "identity"],
-             "error: --checkpoints must be >= 1, got -5"),
-            (["density", "--set", "evens", "--checkpoints", "-5", "--horizon", "10"],
-             "error: --checkpoints must be >= 1, got -5"),
-            (["density", "--set", "evens", "--checkpoints", "0"],
-             "error: --checkpoints must be >= 1, got 0"),
             (["density", "--set", "seed:18446744073709551616", "--checkpoints", "4"],
              "error: seed must fit in 64 bits"),
             (["density", "--set", "seed:1:p=3/2", "--checkpoints", "4"],
@@ -321,6 +310,17 @@ class TestRefusedInputs:
             # A size is checked before any file is opened.
             (["weakrep", "validate", "--table-file", "missing.txt", "--horizon", "-1"],
              "error: --horizon must be a natural number, got -1"),
+            # A checkpoint below 1 is refused before any stream or sampler is built.
+            (["density", "--set", "evens", "--checkpoints", "-5"],
+             "error: --checkpoints must be >= 1, got -5"),
+            (["density", "--set", "evens", "--checkpoints", "-5", "--direction", "image"],
+             "error: --checkpoints must be >= 1, got -5"),
+            (["density", "--set", "evens", "--checkpoints", "-5", "--sampler", "identity"],
+             "error: --checkpoints must be >= 1, got -5"),
+            (["density", "--set", "evens", "--checkpoints", "-5", "--horizon", "10"],
+             "error: --checkpoints must be >= 1, got -5"),
+            (["density", "--set", "evens", "--checkpoints", "0"],
+             "error: --checkpoints must be >= 1, got 0"),
         ],
     )
     def test_exit_two_with_one_error_line(self, capsys, monkeypatch, tmp_path, argv, message):
