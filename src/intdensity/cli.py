@@ -110,7 +110,7 @@ def _run_prefix_set(args):
     stream = SetStream.from_spec(args.set, args.horizon)
     if args.count > stream.horizon + 1:
         raise ValueError(f"--count needs prefixes up to length {args.count - 1}")
-    codes = [string_code(stream.prefix(k)) for k in range(args.count)]
+    codes = cons.prefix_code_sampler(stream, args.count).prefix(args.count)
     members = cons.prefix_set(stream)
     consistent = all(members.bit(code) == 1 for code in codes)
     results = {"codes": codes}

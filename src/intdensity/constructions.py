@@ -59,8 +59,18 @@ def prefix_set(stream: SetStream) -> SetStream:
 def prefix_code_sampler(stream: SetStream, domain_bound: int) -> Sampler:
     """The injection k -> code of the stream's length-k prefix."""
     # Codes of length-k strings fill [2^k - 1, 2^(k+1) - 1), so distinct k never collide.
+    # Every code is cut from the longest prefix rendered so far, which at least
+    # doubles, up to the horizon, when an input reaches past it.
+    rendered = ""
+
+    def code(k: int) -> int:
+        nonlocal rendered
+        if k > len(rendered):
+            rendered = stream.prefix(max(k, min(2 * len(rendered), stream.horizon)))
+        return string_code(rendered[:k])
+
     return Sampler(
-        lambda k: string_code(stream.prefix(k)),
+        code,
         "injection",
         f"prefix-codes({stream.label})",
         domain_bound,

@@ -22,7 +22,7 @@ Each kind of set has one backend:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -90,7 +90,8 @@ def _horizon_error(index: int, horizon: int) -> HorizonError:
 class _Backend:
     """Bit source that overrides `bit` or `gather`, each derived from the other: `bit`
     is a one-index gather.  Every other query is derived from `gather`, and a backend
-    overrides one only where it has a closed form."""
+    overrides one only where it has a closed form, or, for a buffer, a rank directory
+    (see `_Buffered`).  The chunk loops here count from bit 0 on every call."""
 
     def bit(self, index: int) -> int:
         return self.gather((index,), index + 1)[0]
@@ -115,8 +116,7 @@ class _Backend:
         return sum(_count_ones(bits) for _, bits in self._chunks(n))
 
     def kth_one(self, k: int, bound: int) -> Optional[int]:
-        # Count whole chunks in C and select only inside the one that holds the
-        # k-th one: a buffer filled on demand ends at most one chunk past it.
+        # Count whole chunks in C and select only inside the one that holds the k-th one.
         for start, bits in self._chunks(bound):
             ones = _count_ones(bits)
             if ones > k:
@@ -155,10 +155,17 @@ class _Members(_Backend):
 
 class _Buffered(_Backend):
     """Dense 0/1 byte buffer; subclasses that can fill it do so on demand
-    (single-threaded: a fill is not synchronized)."""
+    (single-threaded: a fill is not synchronized).
+
+    Counts and selections read a rank directory (Jacobson, "Space-efficient static
+    trees and graphs", FOCS 1989): `_ranks[c]` is the number of ones below bit
+    c * _CHUNK.  It grows chunk by chunk as queries reach further, so each whole
+    chunk of the buffer is popcounted once; the buffer must not change below it.
+    """
 
     def __init__(self, initial: bytearray = None):
         self._buf = initial if initial is not None else bytearray()
+        self._ranks = [0]
 
     def _fill(self, upto: int) -> None:
         raise HorizonError(f"only {len(self._buf)} bits available")
@@ -166,6 +173,31 @@ class _Buffered(_Backend):
     def _ensure(self, upto: int) -> None:
         if len(self._buf) < upto:
             self._fill(upto)
+
+    def _extend_ranks(self) -> None:
+        """Count the next whole chunk into the directory."""
+        start = (len(self._ranks) - 1) * _CHUNK
+        self._ensure(start + _CHUNK)
+        self._ranks.append(self._ranks[-1] + _count_ones(self._buf[start : start + _CHUNK]))
+
+    def count_below(self, n):
+        whole = n // _CHUNK
+        while len(self._ranks) <= whole:
+            self._extend_ranks()
+        self._ensure(n)
+        return self._ranks[whole] + _count_ones(self._buf[whole * _CHUNK : n])
+
+    def kth_one(self, k, bound):
+        # Extend only up to the chunk that holds the k-th one, or to bound's chunk.
+        ranks = self._ranks
+        while ranks[-1] <= k and len(ranks) <= bound // _CHUNK:
+            self._extend_ranks()
+        chunk = bisect_right(ranks, k) - 1
+        start = chunk * _CHUNK
+        end = min(start + _CHUNK, bound)  # empty when fewer than k + 1 ones lie below bound
+        self._ensure(end)
+        ones = compress(range(start, end), self._buf[start:end])
+        return next(islice(ones, k - ranks[chunk], None), None)
 
     def gather(self, indices, bound):
         self._ensure(bound)

@@ -29,6 +29,7 @@ from intdensity import (
     SetStream,
     adversary_rows,
     build_prefix_tree,
+    density_profile,
     dominating_adversary,
     eval_sampler,
     hit_indices,
@@ -101,6 +102,17 @@ def loop_image_count(stream, permutation, n):
     """`image_stream(stream, permutation).count_below(n)`, one bit at a time."""
     inv = permutation.inverse()
     return sum(stream.bit(eval_sampler(inv, i)) for i in range(n))
+
+
+def loop_density_values(stream, checkpoints):
+    """`density_profile(stream, checkpoints).values`, one checkpoint at a time, each
+    counted one bit at a time."""
+    values = []
+    for n in checkpoints:
+        if n < 1 or n > stream.horizon:
+            raise HorizonError(f"density checkpoint {n} outside [1, {stream.horizon}]")
+        values.append(Fraction(sum(map(stream.bit, range(n))), n))
+    return tuple(values)
 
 
 # -- samplers -----------------------------------------------------------------
@@ -295,6 +307,35 @@ def test_image_stream_counts(make, n, horizon):
     stream = SetStream.from_spec("seed:5", horizon)
     backend = image_stream(stream, permutation)._backend  # past the horizon too
     assert outcome(backend.count_below, n) == outcome(loop_image_count, stream, permutation, n)
+
+
+def failing_involution(fail_at):
+    """The swap of 0 and 1, as a program that fails at every input from fail_at on."""
+
+    def raw(x):
+        if x >= fail_at:
+            raise ProgramFailure(f"program fails at {x}")
+        return 1 - x if x < 2 else x
+
+    return Sampler(raw, "permutation", f"fails-from:{fail_at}", involution=True)
+
+
+# An image stream counts through its inverse's prefix, which may fail at an early
+# input while a later checkpoint lies past the horizon: the first checkpoint's
+# error is raised, as by the loop over checkpoints.
+@PROPERTY
+@given(make=BULK | st.integers(0, 30).map(lambda m: lambda: failing_involution(m)),
+       horizon=st.integers(0, 40),
+       checkpoints=st.lists(st.integers(1, 45), min_size=1, max_size=6, unique=True).map(sorted))
+@example(make=lambda: failing_involution(3), horizon=20, checkpoints=[2, 7, 30])
+@example(make=lambda: Sampler.from_table([1, 0, 2], domain_bound=3), horizon=20,
+         checkpoints=[2, 7, 30])
+def test_image_density_profile_fails_as_the_checkpoint_loop(make, horizon, checkpoints):
+    assume(make().kind == "permutation")
+    image = image_stream(SetStream.from_spec("seed:5", horizon), make())
+    expected = outcome(loop_density_values, image_stream(SetStream.from_spec("seed:5", horizon),
+                                                         make()), checkpoints)
+    assert outcome(lambda: density_profile(image, checkpoints).values) == expected
 
 
 @PROPERTY

@@ -18,12 +18,15 @@ per-element `cantor_pair` calls for `graph_members`.
 import random
 from argparse import Namespace
 from bisect import bisect_left
+from fractions import Fraction
+from functools import partial
 from itertools import compress, islice
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
 
 from intdensity import (
     DomainError,
@@ -35,6 +38,7 @@ from intdensity import (
     build_prefix_tree,
     cantor_pair,
     cantor_unpair,
+    density_profile,
     graph_members,
     graph_set,
     hit_indices,
@@ -48,7 +52,7 @@ from intdensity import (
     string_code,
     string_decode,
 )
-from intdensity import cli
+from intdensity import cli, streams
 from intdensity.codes import _check_bits
 from intdensity.samplers import eval_sampler
 from intdensity.streams import _CHUNK, _Buffered, _Members, _Periodic, _SeededBits
@@ -119,6 +123,54 @@ def test_tree_matches_scan_on_prefix_codes(seed, num, q, full_height, depth):
     tree = build_prefix_tree(sampler, q, full_height, depth)
     assert tree.levels == scan_levels(sampler, q, full_height, depth)
 
+
+# -- prefix_code_sampler ------------------------------------------------------
+
+# The sampler cuts each code from one rendering, which doubles when an input
+# reaches past it; every input must still give the code of its own prefix, and
+# an input past the horizon the stream's own error.
+PREFIX_CODE_SPECS = ["seed:4", "seed:6:p=1/5", "evens", "list:0,3,4,9,64,200", "empty"]
+
+
+@pytest.mark.parametrize("spec", PREFIX_CODE_SPECS)
+@settings(max_examples=25, deadline=None)
+@given(horizon=st.integers(0, 300), data=st.data())
+def test_prefix_codes_in_any_order_match_their_prefixes(spec, horizon, data):
+    fresh = SetStream.from_spec(spec, horizon)
+    inputs = data.draw(st.lists(st.integers(0, horizon), max_size=30))
+    for order in (inputs, sorted(inputs, reverse=True), inputs + inputs):
+        sampler = prefix_code_sampler(SetStream.from_spec(spec, horizon), horizon + 1)
+        codes = [eval_sampler(sampler, k) for k in order]
+        assert codes == [string_code(fresh.prefix(k)) for k in order]
+
+
+@pytest.mark.parametrize("spec", PREFIX_CODE_SPECS)
+def test_prefix_codes_at_the_ends_and_past_the_horizon(spec):
+    horizon = _CHUNK + 3
+    fresh = SetStream.from_spec(spec, horizon)
+    for order in ([0, 1, horizon, horizon + 1], [horizon + 1, horizon, 1, 0], [1, horizon + 1]):
+        sampler = prefix_code_sampler(SetStream.from_spec(spec, horizon), horizon + 2)
+        for k in order:
+            expected = outcome(lambda: string_code(fresh.prefix(k)))
+            assert outcome(eval_sampler, sampler, k) == expected, (order, k)
+    assert expected == (HorizonError, f"prefix length {horizon + 1} outside [0, {horizon}]", {})
+
+
+def test_prefix_codes_render_only_what_the_inputs_reach(monkeypatch):
+    lengths = []
+    prefix = SetStream.prefix
+
+    def recorded(self, n):
+        lengths.append(n)
+        return prefix(self, n)
+
+    monkeypatch.setattr(SetStream, "prefix", recorded)
+    sampler = prefix_code_sampler(SetStream.from_spec("seed:3", 10**12), 10**12)
+    eval_sampler(sampler, 10)
+    assert sum(lengths) <= 64
+    # Inputs read in order are served by renderings that double.
+    sampler.prefix(5000)
+    assert sum(lengths) < 4 * 5000
 
 @st.composite
 def tree_levels(draw):
@@ -592,6 +644,85 @@ def test_chunk_counts_and_selects_match_per_bit_loops(spec, bits_path):
             for stream in (SetStream.from_spec(spec, horizon), reused):
                 assert stream._backend.kth_one(k, n) == expected, (n, k)
 
+
+
+# -- the rank directory of buffered streams ----------------------------------
+
+# A buffer's counts and selections read a directory of the ones below each whole
+# chunk, grown as queries reach further.  One backend answers queries in any
+# order, each compared with the per-bit loop on a second, fresh backend; bounds
+# fall on chunk edges, and a selection may ask for a one past the last.
+DIRECTORY_LENGTH = 2 * _CHUNK + 5  # the bits of the file and of the mask: not whole chunks
+DIRECTORY_BOUNDS = st.sampled_from(
+    [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK, DIRECTORY_LENGTH]
+) | st.integers(0, DIRECTORY_LENGTH)
+
+
+def directory_bits():
+    rng = random.Random(8)
+    return bytearray(rng.random() < 0.3 for _ in range(DIRECTORY_LENGTH))
+
+
+DIRECTORY_BACKENDS = {
+    "seed-half": lambda path: SetStream.from_spec("seed:21", DIRECTORY_LENGTH)._backend,
+    "seed-fifth": lambda path: SetStream.from_spec("seed:21:p=1/5", DIRECTORY_LENGTH)._backend,
+    "file": lambda path: SetStream.from_spec(f"file:{path}")._backend,
+    "mask": lambda path: _Buffered(directory_bits()),
+}
+
+
+class DirectoryQueries(RuleBasedStateMachine):
+    def __init__(self, make):
+        super().__init__()
+        self.backend, self.fresh = make(), make()
+
+    @rule(n=DIRECTORY_BOUNDS)
+    def count_below(self, n):
+        assert self.backend.count_below(n) == per_bit_count_below(self.fresh, n)
+
+    @rule(n=DIRECTORY_BOUNDS)
+    def prefix(self, n):
+        assert self.backend.prefix(n) == per_bit_prefix(self.fresh, n)
+
+    @rule(bound=DIRECTORY_BOUNDS, k=st.integers(0, DIRECTORY_LENGTH))
+    def kth_one(self, bound, k):
+        self.select(k, bound)
+
+    @rule(bound=DIRECTORY_BOUNDS, past=st.integers(-1, 1))
+    def kth_one_at_the_last_one_and_past_it(self, bound, past):
+        self.select(max(0, per_bit_count_below(self.fresh, bound) + past), bound)
+
+    def select(self, k, bound):
+        expected = select_from_bit_zero(per_bit_gather(self.fresh, range(bound), bound), k, bound)
+        assert self.backend.kth_one(k, bound) == expected, (k, bound)
+
+
+@pytest.mark.parametrize("kind", sorted(DIRECTORY_BACKENDS))
+def test_rank_directory_answers_queries_in_any_order(kind, tmp_path):
+    path = tmp_path / "bits.txt"
+    path.write_text("".join(map(str, directory_bits())))
+    make = partial(DIRECTORY_BACKENDS[kind], path)
+    run_state_machine_as_test(lambda: DirectoryQueries(make), settings=settings(
+        max_examples=25, stateful_step_count=15, deadline=None))
+
+
+def test_density_profile_popcounts_each_chunk_once(monkeypatch):
+    # K checkpoints up to N: every whole chunk once, and one partial chunk per checkpoint.
+    n, k = 300 * _CHUNK + 17, 100
+    checkpoints = [n * (i + 1) // k for i in range(k)]
+    calls = []
+    count_ones = streams._count_ones
+
+    def counted(bits):
+        calls.append(len(bits))
+        return count_ones(bits)
+
+    monkeypatch.setattr(streams, "_count_ones", counted)
+    values = density_profile(SetStream.from_spec("seed:1", n), checkpoints).values
+    assert len(calls) <= -(-n // _CHUNK) + k
+    monkeypatch.undo()
+    bits = SetStream.from_spec("seed:1", n).prefix(n)
+    assert values == tuple(Fraction(bits.count("1", 0, c), c) for c in checkpoints)
 
 # -- preimage_hits --------------------------------------------------------------
 
