@@ -11,6 +11,7 @@ from .codes import (
     fixed_width_code,
     fixed_width_decode,
     fixed_width_len,
+    prefix_code,
     prefix_free_code,
     prefix_free_decode,
     string_code,

@@ -49,6 +49,12 @@ SCHEMA_VERSION = 1
 # anything is built.
 _WCT_MAX_NMAX = 10
 
+# `prefix-set` reports its prefix set's horizon 2^(h+1) - 1, which from h =
+# 14,284 on has more than the 4,300 decimal digits CPython will render, and at
+# h = 10^11 would take 12.5 GB to compute, so --horizon is budgeted at 14,283,
+# checked before any stream is built.
+_PREFIX_SET_MAX_HORIZON = 14283
+
 
 def _ints(text: str) -> list[int]:
     return [_int_field(tok, text, "list") for tok in text.split(",") if tok != ""]
@@ -107,6 +113,9 @@ def _run_density(args):
 
 
 def _run_prefix_set(args):
+    if args.horizon is not None and args.horizon > _PREFIX_SET_MAX_HORIZON:
+        raise ValueError(f"--horizon {args.horizon} exceeds the budget of {_PREFIX_SET_MAX_HORIZON}"
+                         " (a prefix-set horizon 2^(h+1) - 1 of at most 4,300 digits)")
     stream = SetStream.from_spec(args.set, args.horizon)
     if args.count > stream.horizon + 1:
         raise ValueError(f"--count needs prefixes up to length {args.count - 1}")

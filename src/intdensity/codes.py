@@ -123,6 +123,19 @@ def string_code(bits: str) -> int:
     return (1 << len(bits)) + value - 1
 
 
+def prefix_code(value: int, length: int, k: int) -> int:
+    """string_code of the first k bits of the length-`length` string whose binary
+    value is `value`, with no string built and every check O(1), by bit lengths."""
+    _check_natural(value, "value")
+    _check_natural(length, "length")
+    _check_natural(k, "k")
+    if k > length:
+        raise ValueError(f"k must be at most length = {length}, got {k}")
+    if value.bit_length() > length:
+        raise ValueError(f"value must fit in length = {length} bits, got {value.bit_length()} bits")
+    return (1 << k) + (value >> (length - k)) - 1
+
+
 def string_decode(code: int) -> str:
     """Inverse of string_code."""
     _check_natural(code, "code")

@@ -22,9 +22,11 @@ from operator import add, itemgetter
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .codes import (
-    _data_lines, _int_field, _is_bits, _naturals, cantor_pair, cantor_unpair, string_code,
+    _data_lines, _int_field, _is_bits, _naturals, cantor_pair, cantor_unpair, prefix_code,
     string_decode,
 )
+# string_code is no longer called here; perfbench's tracer test checks the binding.
+from .codes import string_code  # noqa: F401
 from .errors import InjectivityError, InsufficientElementsError, PrefixInconsistencyError
 # eval_sampler is no longer called here; perfbench's tracer test checks the binding.
 from .samplers import Sampler, _check_interval, eval_sampler  # noqa: F401
@@ -59,15 +61,16 @@ def prefix_set(stream: SetStream) -> SetStream:
 def prefix_code_sampler(stream: SetStream, domain_bound: int) -> Sampler:
     """The injection k -> code of the stream's length-k prefix."""
     # Codes of length-k strings fill [2^k - 1, 2^(k+1) - 1), so distinct k never collide.
-    # Every code is cut from the longest prefix rendered so far, which at least
-    # doubles, up to the horizon, when an input reaches past it.
-    rendered = ""
+    # The prefix rendered so far at least doubles, up to the horizon, when an input reaches
+    # past it, and is parsed once then: each code is read off that integer's top k bits.
+    length = value = 0
 
     def code(k: int) -> int:
-        nonlocal rendered
-        if k > len(rendered):
-            rendered = stream.prefix(max(k, min(2 * len(rendered), stream.horizon)))
-        return string_code(rendered[:k])
+        nonlocal length, value
+        if k > length:
+            rendered = stream.prefix(max(k, min(2 * length, stream.horizon)))
+            length, value = len(rendered), int(rendered, 2)
+        return prefix_code(value, length, k)
 
     return Sampler(
         code,

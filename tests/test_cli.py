@@ -321,6 +321,17 @@ class TestRefusedInputs:
              "error: --checkpoints must be >= 1, got -5"),
             (["density", "--set", "evens", "--checkpoints", "0"],
              "error: --checkpoints must be >= 1, got 0"),
+            # The prefix set's horizon is budgeted before any stream is built.
+            (["prefix-set", "--set", "evens", "--horizon", "14284", "--count", "5"],
+             "error: --horizon 14284 exceeds the budget of 14283"),
+            (["--format", "csv", "prefix-set", "--set", "evens", "--horizon", "14284",
+              "--count", "5"],
+             "error: --horizon 14284 exceeds the budget of 14283"),
+            (["prefix-set", "--set", "seed:1", "--horizon", "1000000", "--count", "5"],
+             "error: --horizon 1000000 exceeds the budget of 14283"),
+            (["--format", "csv", "prefix-set", "--set", "seed:1", "--horizon", "1000000",
+              "--count", "5"],
+             "error: --horizon 1000000 exceeds the budget of 14283"),
         ],
     )
     def test_exit_two_with_one_error_line(self, capsys, monkeypatch, tmp_path, argv, message):
@@ -453,6 +464,24 @@ class TestRefusedInputs:
             with pytest.raises((LookupError, ValueError)) as err:
                 args.handler(args)
             assert (str(err.value) == "stream built") is reached
+
+    def test_prefix_set_budget_is_checked_before_the_stream_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise LookupError("stream built")
+
+        monkeypatch.setattr(cli.SetStream, "from_spec", refuse)
+        for horizon, reached in [("14283", True), ("14284", False)]:
+            argv = ["prefix-set", "--set", "seed:42", "--horizon", horizon]
+            args = cli._build_parser(argv).parse_args(argv)
+            with pytest.raises((LookupError, ValueError)) as err:
+                args.handler(args)
+            assert (str(err.value) == "stream built") is reached
+
+    def test_largest_budgeted_prefix_set_horizon_still_prints(self, capsys):
+        code, report = run_json(capsys, "prefix-set", "--set", "evens", "--horizon", "14283",
+                                "--count", "5")
+        assert code == 0
+        assert report["horizons"]["prefix_set"] == 2**14284 - 1
 
     def test_largest_printable_set_code_still_prints(self, capsys):
         code, report = run_json(capsys, "codes", "setcode", "--members", "14000")

@@ -15,6 +15,7 @@ from intdensity import (
     fixed_width_code,
     fixed_width_decode,
     fixed_width_len,
+    prefix_code,
     prefix_free_code,
     prefix_free_decode,
     string_code,
@@ -149,6 +150,35 @@ class TestStringCode:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             string_code("012")
+
+
+class TestPrefixCode:
+    @given(st.text("01", max_size=200))
+    @example("")
+    @example("0001")
+    def test_equals_string_code_of_every_prefix(self, bits):
+        value = int(bits, 2) if bits else 0
+        for k in range(len(bits) + 1):
+            assert prefix_code(value, len(bits), k) == string_code(bits[:k])
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((5, 3, -1), "k must be a natural number, got -1"),
+            ((5, 3, 4), "k must be at most length = 3, got 4"),
+            ((8, 3, 1), "value must fit in length = 3 bits, got 4 bits"),
+            ((1, 0, 0), "value must fit in length = 0 bits, got 1 bits"),
+            ((-1, 3, 1), "value must be a natural number, got -1"),
+            ((1, True, 1), "length must be a natural number, got True"),
+            ((1, 3, False), "k must be a natural number, got False"),
+            ((1.0, 3, 1), "value must be a natural number, got 1.0"),
+            ((1, 3.0, 1), "length must be a natural number, got 3.0"),
+        ],
+    )
+    def test_refusals(self, args, message):
+        with pytest.raises(ValueError) as refused:
+            prefix_code(*args)
+        assert str(refused.value) == message
 
 
 class TestFiniteSetCode:
