@@ -52,7 +52,8 @@ _WCT_MAX_NMAX = 10
 # `prefix-set` reports its prefix set's horizon 2^(h+1) - 1, which from h =
 # 14,284 on has more than the 4,300 decimal digits CPython will render, and at
 # h = 10^11 would take 12.5 GB to compute, so --horizon is budgeted at 14,283,
-# checked before any stream is built.
+# checked before any stream is built, and so is the horizon a `list:` or
+# `file:` spec takes from its data, checked before the prefix set is built.
 _PREFIX_SET_MAX_HORIZON = 14283
 
 
@@ -117,6 +118,10 @@ def _run_prefix_set(args):
         raise ValueError(f"--horizon {args.horizon} exceeds the budget of {_PREFIX_SET_MAX_HORIZON}"
                          " (a prefix-set horizon 2^(h+1) - 1 of at most 4,300 digits)")
     stream = SetStream.from_spec(args.set, args.horizon)
+    if stream.horizon > _PREFIX_SET_MAX_HORIZON:
+        raise ValueError(f"--set {args.set} has horizon {stream.horizon}, over the budget of"
+                         f" {_PREFIX_SET_MAX_HORIZON} (a prefix-set horizon 2^(h+1) - 1 of at"
+                         " most 4,300 digits)")
     if args.count > stream.horizon + 1:
         raise ValueError(f"--count needs prefixes up to length {args.count - 1}")
     codes = cons.prefix_code_sampler(stream, args.count).prefix(args.count)
@@ -519,9 +524,13 @@ def _emit_csv(report: dict) -> str:
 
     A list or tuple of exact `str` and `int` items is flattened in one
     `rows.extend`; any other is walked item by item.  `csv.writer` quotes
-    every row.
+    every row, and each row ends in a newline.  A field holding a carriage
+    return or a newline is quoted on every Python: before 3.13, `csv` quotes
+    a bare carriage return only when the line terminator holds one, so a
+    report that holds one is written again with CRLF terminators, and each
+    is then cut to a newline.
     """
-    rows = []
+    rows = [("key", "value")]
 
     def walk(obj, path):
         if isinstance(obj, dict):
@@ -537,10 +546,19 @@ def _emit_csv(report: dict) -> str:
 
     walk(report, "")
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    writer.writerows(rows)
-    return out.getvalue()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    text = out.getvalue()
+    if "\r" not in text:
+        return text
+    lines = _Lines()
+    csv.writer(lines, lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
+
+
+class _Lines(list):
+    """A file for `csv.writer` that keeps each row it writes as one item."""
+
+    write = list.append
 
 
 def main(argv=None) -> int:

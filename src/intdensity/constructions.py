@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import io
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from itertools import chain, compress, count, islice, pairwise
 from math import factorial, isqrt
 from operator import add, itemgetter
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
+from ._record import _Record
 from .codes import (
     _data_lines, _int_field, _is_bits, _naturals, cantor_pair, cantor_unpair, prefix_code,
     string_decode,
@@ -105,32 +105,36 @@ def introreduce(codes) -> str:
     return bits
 
 
-@dataclass(frozen=True)
-class PrefixTree:
+class PrefixTree(_Record):
     """Levels of candidate prefixes kept by the dense-sampling decoder.
 
-    Levels 0..full_height form the full binary tree; every deeper level
-    holds at most 2q strings and is prefix-closed against its parent.
+    Levels 0..full_height form the full binary tree, level 0 being the
+    empty string alone.  Every deeper level holds at most 2q distinct
+    strings and is prefix-closed against its parent: each string is a
+    string of the level above plus "0" or "1".
     """
 
-    q: int
-    full_height: int
-    depth: int
-    levels: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        if len(self.levels) != self.depth + 1:
+    def __init__(self, q: int, full_height: int, depth: int,
+                 levels: tuple[tuple[str, ...], ...]):
+        if len(levels) != depth + 1:
             raise ValueError("need one level per height 0..depth")
         parents: set[str] = set()
-        for height, level in enumerate(self.levels):
-            if height <= self.full_height:
-                if len(level) != 1 << height:
+        for height, level in enumerate(levels):
+            kept = set(level)
+            if height <= full_height or not height:
+                # 2^height distinct 0/1 strings of length height are the whole level.
+                if (len(level) != 1 << height or len(kept) != len(level)
+                        or set(map(len, level)) != {height} or not _is_bits("".join(level))):
                     raise ValueError(f"level {height} must be the full tree")
-            elif len(level) > 2 * self.q:
-                raise ValueError(f"level {height} wider than {2 * self.q}")
-            if height and not set(map(itemgetter(slice(None, -1)), level)) <= parents:
+            elif len(level) > 2 * q:
+                raise ValueError(f"level {height} wider than {2 * q}")
+            elif len(kept) != len(level):
+                raise ValueError(f"level {height} repeats a string")
+            elif not (set(map(itemgetter(slice(None, -1)), level)) <= parents
+                      and set(map(itemgetter(slice(-1, None)), level)) <= {"0", "1"}):
                 raise ValueError(f"level {height} is not prefix-closed")
-            parents = set(level)
+            parents = kept
+        self._freeze(q, full_height, depth, levels)
 
     def widths(self) -> list[int]:
         return [len(level) for level in self.levels]
@@ -238,17 +242,13 @@ def _wct_truth(stream: SetStream, n: int) -> bytes:
     return stream._backend.gather(range(cutoff), cutoff)
 
 
-@dataclass(frozen=True)
-class WctInjection:
+class WctInjection(_Record):
     """A total injection on [0, max_n!) assembled from per-block guesses."""
 
-    max_n: int
-    table: tuple[int, ...]
-    guesses: Mapping[int, str]
-
-    def __post_init__(self):
-        if len(self.table) != factorial(self.max_n):
+    def __init__(self, max_n: int, table: tuple[int, ...], guesses: Mapping[int, str]):
+        if len(table) != factorial(max_n):
             raise ValueError("table must cover [0, max_n!)")
+        self._freeze(max_n, table, guesses)
 
     def as_sampler(self) -> Sampler:
         return Sampler.from_table(

@@ -23,13 +23,13 @@ Each kind of set has one backend:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
+from ._record import _Record
 from .codes import _is_bits, _int_field, _naturals
 from .errors import HorizonError, InsufficientElementsError
 
@@ -473,27 +473,23 @@ def _parse_spec(spec: str):
     raise ValueError(f"unknown stream spec {spec!r}")
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(_Record):
     """Exact partial densities at chosen checkpoints plus observed sup/inf."""
 
-    checkpoints: tuple[int, ...]
-    values: tuple[Fraction, ...]
-    observed_sup: Fraction
-    observed_inf: Fraction
-
-    def __post_init__(self):
-        if len(self.checkpoints) != len(self.values) or not self.checkpoints:
+    def __init__(self, checkpoints: tuple[int, ...], values: tuple[Fraction, ...],
+                 observed_sup: Fraction, observed_inf: Fraction):
+        if len(checkpoints) != len(values) or not checkpoints:
             raise ValueError("profile needs one value per checkpoint, at least one")
-        if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
+        if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
             raise ValueError("checkpoints must be strictly increasing")
-        for n, v in zip(self.checkpoints, self.values):
+        for n, v in zip(checkpoints, values):
             if not 0 <= v <= 1 or (v * n).denominator != 1:
                 raise ValueError(f"value {v} at checkpoint {n} is not a valid density")
-        if self.observed_inf > self.observed_sup:
+        if observed_inf > observed_sup:
             raise ValueError("observed_inf exceeds observed_sup")
-        if self.observed_sup not in self.values or self.observed_inf not in self.values:
+        if observed_sup not in values or observed_inf not in values:
             raise ValueError("observed sup/inf must be attained by listed values")
+        self._freeze(checkpoints, values, observed_sup, observed_inf)
 
 
 def partial_density(stream: SetStream, n: int) -> Fraction:

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, groupby, repeat
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
+from ._record import _Record
 from .codes import (
     _data_lines, _int_field, _int_fields, _is_bits, _naturals, cantor_pair, cantor_unpair,
     string_code, string_decode, triple_code,
@@ -36,12 +36,11 @@ from .samplers import Sampler, eval_sampler  # noqa: F401
 from .streams import SetStream
 
 
-@dataclass(frozen=True)
-class WeakRepTable:
+class WeakRepTable(_Record):
     """A finite set of (x, y, z) witness triples with an explicit horizon."""
 
-    triples: frozenset[tuple[int, int, int]]
-    horizon: int
+    def __init__(self, triples: frozenset[tuple[int, int, int]], horizon: int):
+        self._freeze(triples, horizon)
 
     @cached_property
     def sorted_triples(self) -> tuple[tuple[int, int, int], ...]:
@@ -103,17 +102,14 @@ def _table_line(index: int, line: str) -> tuple[int, int, int]:
     return tuple(_int_field(f, line, "line") for f in fields)
 
 
-@dataclass(frozen=True)
-class BulletCheck:
-    name: str
-    passed: bool
-    witness: Optional[tuple]
-    detail: str
+class BulletCheck(_Record):
+    def __init__(self, name: str, passed: bool, witness: Optional[tuple], detail: str):
+        self._freeze(name, passed, witness, detail)
 
 
-@dataclass(frozen=True)
-class WeakRepReport:
-    bullets: tuple[BulletCheck, ...]
+class WeakRepReport(_Record):
+    def __init__(self, bullets: tuple[BulletCheck, ...]):
+        self._freeze(bullets)
 
     @property
     def ok(self) -> bool:
@@ -220,12 +216,11 @@ def eval_step(table: WeakRepTable, x: int, z: int) -> Optional[int]:
 # -- program registries ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(_Record):
     """A budgeted evaluator: fn(x) returns (value, steps) or None to diverge."""
 
-    name: str
-    fn: Callable[[int], Optional[tuple[int, int]]]
+    def __init__(self, name: str, fn: Callable[[int], Optional[tuple[int, int]]]):
+        self._freeze(name, fn)
 
 
 def builtin_program(spec: str) -> Program:
@@ -256,12 +251,11 @@ def builtin_program(spec: str) -> Program:
     raise ValueError(f"unknown program spec {spec!r}")
 
 
-@dataclass(frozen=True)
-class FamilyRegistry:
+class FamilyRegistry(_Record):
     """An indexed, immutable family of budgeted programs."""
 
-    programs: tuple[Program, ...]
-    budget: int
+    def __init__(self, programs: tuple[Program, ...], budget: int):
+        self._freeze(programs, budget)
 
     def __len__(self):
         return len(self.programs)
@@ -407,13 +401,12 @@ def psi_eval(pair_codes, x: int, budget: int) -> Optional[int]:
     return best[x]
 
 
-@dataclass(frozen=True)
-class SigmaMap:
+class SigmaMap(_Record):
     """Maps binary strings to program indices, with an optional default
     routing unmapped strings to a designated always-diverging program."""
 
-    entries: Mapping[str, int]
-    default: Optional[int] = None
+    def __init__(self, entries: Mapping[str, int], default: Optional[int] = None):
+        self._freeze(entries, default)
 
     def lookup(self, sigma: str) -> int:
         index = self.entries.get(sigma, self.default)

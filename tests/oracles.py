@@ -91,7 +91,12 @@ def loop_wct_blocks(masks):
 
 
 def walk_csv(report) -> str:
-    """`cli._emit_csv` by its definition: one `key,value` row per leaf, walked one item at a time."""
+    """`cli._emit_csv` by its definition: one `key,value` row per leaf, walked one item at a time.
+
+    Each row is written with a CRLF terminator, so that every Python quotes
+    a field holding a carriage return, and the terminator is then cut to a
+    newline.
+    """
     rows = []
 
     def walk(obj, path):
@@ -105,11 +110,12 @@ def walk_csv(report) -> str:
             rows.append((path, "" if obj is None else str(obj)))
 
     walk(report, "")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    writer.writerows(rows)
-    return out.getvalue()
+    lines = []
+    for row in [("key", "value"), *rows]:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        lines.append(out.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)
 
 
 # -- strategies ----------------------------------------------------------------

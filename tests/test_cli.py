@@ -483,6 +483,29 @@ class TestRefusedInputs:
         assert code == 0
         assert report["horizons"]["prefix_set"] == 2**14284 - 1
 
+    @pytest.mark.parametrize(
+        "spec, horizon", [("list:20000", 20001), ("list:100000000000", 100000000001)],
+    )
+    def test_prefix_set_budget_covers_a_horizon_taken_from_the_data(
+        self, capsys, monkeypatch, spec, horizon
+    ):
+        # Without the check, list:100000000000 would compute 1 << (10^11 + 2).
+        built = []
+        monkeypatch.setattr(constructions, "prefix_set", built.append)
+        assert main(["prefix-set", "--set", spec, "--count", "5"]) == 2
+        assert built == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --set {spec} has horizon {horizon}, over the budget of 14283"
+            " (a prefix-set horizon 2^(h+1) - 1 of at most 4,300 digits)\n"
+        )
+
+    def test_largest_budgeted_data_horizon_still_prints(self, capsys):
+        code, report = run_json(capsys, "prefix-set", "--set", "list:14282", "--count", "5")
+        assert code == 0
+        assert report["horizons"] == {"stream": 14283, "prefix_set": 2**14284 - 1}
+
     def test_largest_printable_set_code_still_prints(self, capsys):
         code, report = run_json(capsys, "codes", "setcode", "--members", "14000")
         assert code == 0
@@ -736,6 +759,19 @@ class TestOutputDiscipline:
         assert code == 0
         assert out.splitlines()[0] == "key,value"
         assert "results.code,1" in out
+
+    def test_csv_quotes_a_bare_carriage_return_on_every_python(self, capsys):
+        # Only the csv module of Python 3.13 and later quotes it by itself.
+        code, out = run_cli(
+            capsys, "--format", "csv", "density", "--set", "list:1\r", "--checkpoints", "2"
+        )
+        assert code == 0
+        assert out == (
+            "key,value\ncommand,density\nhorizons.stream,2\nparameters.checkpoints,2\n"
+            "parameters.direction,preimage\nparameters.horizon,\nparameters.sampler,\n"
+            'parameters.set,"list:1\r"\nresults.checkpoints.0,2\nresults.observed_inf,1/2\n'
+            "results.observed_sup,1/2\nresults.values.0,1/2\nschema_version,1\n"
+        )
 
     def test_repeat_invocations_are_byte_identical(self, capsys):
         argv = ("density", "--set", "seed:3:p=1/3", "--checkpoints", "16,64,256")

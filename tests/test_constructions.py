@@ -190,6 +190,30 @@ class TestPrefixTree:
                 q=1, full_height=0, depth=1, levels=(("",), ("00", "01", "10"))
             )
 
+    @pytest.mark.parametrize(
+        "full_height, levels, message",
+        [
+            (1, (("",), ("0", "0")), "level 1 must be the full tree"),
+            (2, (("",), ("0", "1"), ("00", "00", "01", "10")), "level 2 must be the full tree"),
+            (1, (("x",), ("x0", "x1")), "level 0 must be the full tree"),
+            (0, (("",), ("", "0")), "level 1 is not prefix-closed"),
+            (1, (("",), ("", "0")), "level 1 must be the full tree"),
+            (0, (("",), ("a", "b")), "level 1 is not prefix-closed"),
+            (1, (("",), ("a", "b")), "level 1 must be the full tree"),
+            (0, (("",), ("0", "0")), "level 1 repeats a string"),
+            (1, (("",), ("0", "1"), ("10", "10")), "level 2 repeats a string"),
+            # A full level of the right width is refused as a whole, not as unclosed.
+            (2, (("",), ("0", "1"), ("00", "01", "20", "21")), "level 2 must be the full tree"),
+            # Level 0 is the root even when no level is full.
+            (-1, ((),), "level 0 must be the full tree"),
+        ],
+    )
+    def test_levels_that_are_not_the_named_tree_are_refused(self, full_height, levels, message):
+        depth = len(levels) - 1
+        with pytest.raises(ValueError) as err:
+            PrefixTree(q=1, full_height=full_height, depth=depth, levels=levels)
+        assert str(err.value) == message
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             build_prefix_tree(Sampler.identity(), q=0, full_height=0, depth=2)

@@ -12,7 +12,8 @@ the very text that separates two indented records.
 recursive walk that visits one leaf at a time, while it flattens each list
 or tuple of exact `str` and `int` items in one call.  The reports drawn for
 it nest dicts, lists and tuples, hold empty lists, and mix ints, bools,
-`None`, floats and strings with commas, quotes and newlines.
+`None`, floats and strings with commas, quotes, newlines and bare
+carriage returns, which every Python must quote alike.
 """
 
 import json
@@ -65,7 +66,9 @@ def test_dump_json_matches_indented_dumps(obj):
     assert outcome(_dump_json, obj) == outcome(indented, obj)
 
 
-CSV_TEXT = st.text(max_size=6) | st.sampled_from([",", '"', "\n", "x,y,z", 'a "b", c', "\r\n", ""])
+CSV_TEXT = st.text(max_size=6) | st.sampled_from(
+    [",", '"', "\n", "x,y,z", 'a "b", c', "\r\n", "", "\r", "a\rb", "\ra\r\n"]
+)
 CSV_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | CSV_TEXT
 CSV_KEYS = st.text("abxyz09._", max_size=4)
 # Lists of only str and int, the bulk path's kind, are drawn on their own too.
@@ -87,5 +90,6 @@ CSV_REPORTS = st.dictionaries(CSV_KEYS, st.recursive(
 @example(report={"a": [1, True], "b": [None, "x"], "c": [1.5, 2], "d": ("q", 3), "e": []})
 @example(report={"a": ['say "hi"', "x\ny"], "b": [[1, 2], ["3"]], "c": [{"k": 1}]})
 @example(report={"big": [1, 10 ** 5000]})
+@example(report={"set": "list:1\r", "values": ["a\rb", "x\r\ny", 3], "n": None})
 def test_emit_csv_matches_the_recursive_walk(report):
     assert outcome(_emit_csv, report) == outcome(walk_csv, report)
