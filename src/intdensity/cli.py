@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import factorial
+from operator import itemgetter
 from time import perf_counter
 
 from . import constructions as cons
@@ -55,6 +55,8 @@ _WCT_MAX_NMAX = 10
 # checked before any stream is built, and so is the horizon a `list:` or
 # `file:` spec takes from its data, checked before the prefix set is built.
 _PREFIX_SET_MAX_HORIZON = 14283
+_PREFIX_SET_BUDGET = (f"the budget of {_PREFIX_SET_MAX_HORIZON}"
+                      " (a prefix-set horizon 2^(h+1) - 1 of at most 4,300 digits)")
 
 
 def _ints(text: str) -> list[int]:
@@ -115,13 +117,10 @@ def _run_density(args):
 
 def _run_prefix_set(args):
     if args.horizon is not None and args.horizon > _PREFIX_SET_MAX_HORIZON:
-        raise ValueError(f"--horizon {args.horizon} exceeds the budget of {_PREFIX_SET_MAX_HORIZON}"
-                         " (a prefix-set horizon 2^(h+1) - 1 of at most 4,300 digits)")
+        raise ValueError(f"--horizon {args.horizon} exceeds {_PREFIX_SET_BUDGET}")
     stream = SetStream.from_spec(args.set, args.horizon)
     if stream.horizon > _PREFIX_SET_MAX_HORIZON:
-        raise ValueError(f"--set {args.set} has horizon {stream.horizon}, over the budget of"
-                         f" {_PREFIX_SET_MAX_HORIZON} (a prefix-set horizon 2^(h+1) - 1 of at"
-                         " most 4,300 digits)")
+        raise ValueError(f"--set {args.set} has horizon {stream.horizon}, over {_PREFIX_SET_BUDGET}")
     if args.count > stream.horizon + 1:
         raise ValueError(f"--count needs prefixes up to length {args.count - 1}")
     codes = cons.prefix_code_sampler(stream, args.count).prefix(args.count)
@@ -526,9 +525,8 @@ def _emit_csv(report: dict) -> str:
     `rows.extend`; any other is walked item by item.  `csv.writer` quotes
     every row, and each row ends in a newline.  A field holding a carriage
     return or a newline is quoted on every Python: before 3.13, `csv` quotes
-    a bare carriage return only when the line terminator holds one, so a
-    report that holds one is written again with CRLF terminators, and each
-    is then cut to a newline.
+    a bare carriage return only when the line terminator holds one, so rows
+    are written with CRLF terminators, and each is then cut to a newline.
     """
     rows = [("key", "value")]
 
@@ -545,20 +543,18 @@ def _emit_csv(report: dict) -> str:
             rows.append((path, "" if obj is None else str(obj)))
 
     walk(report, "")
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    text = out.getvalue()
-    if "\r" not in text:
-        return text
     lines = _Lines()
     csv.writer(lines, lineterminator="\r\n").writerows(rows)
-    return "".join(line[:-2] + "\n" for line in lines)
+    return "\n".join(map(_UNTERMINATED, lines)) + "\n"
 
 
 class _Lines(list):
     """A file for `csv.writer` that keeps each row it writes as one item."""
 
     write = list.append
+
+
+_UNTERMINATED = itemgetter(slice(None, -2))
 
 
 def main(argv=None) -> int:
