@@ -16,6 +16,7 @@ from .codes import (
     prefix_free_decode,
     string_code,
     string_decode,
+    string_parts,
     triple_code,
     triple_decode,
 )

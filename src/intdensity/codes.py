@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable
 from contextlib import suppress
 from itertools import chain, count
 from math import isqrt
-from typing import Iterable
 
 
 def _check_natural(value: int, name: str) -> int:
@@ -141,6 +141,14 @@ def string_decode(code: int) -> str:
     _check_natural(code, "code")
     # code + 1 = 2^len + value: its binary digits after the leading 1.
     return bin(code + 1)[3:]
+
+
+def string_parts(code: int) -> tuple[int, int]:
+    """string_decode's (length, value), with no string built: code + 1 = 2^length + value."""
+    _check_natural(code, "code")
+    whole = code + 1
+    length = whole.bit_length() - 1
+    return length, whole ^ (1 << length)
 
 
 def finite_set_code(members: Iterable[int]) -> int:

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import io
 from bisect import bisect_left, insort
+from collections import namedtuple
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import chain, compress, count, islice, pairwise
 from math import factorial, isqrt
 from operator import add, itemgetter
-from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from ._record import _Record
 from .codes import (
     _data_lines, _int_field, _is_bits, _naturals, cantor_pair, cantor_unpair, prefix_code,
-    string_decode,
+    string_decode, string_parts,
 )
 # string_code is no longer called here; perfbench's tracer test checks the binding.
 from .codes import string_code  # noqa: F401
@@ -116,12 +117,13 @@ class PrefixTree(_Record):
 
     def __init__(self, q: int, full_height: int, depth: int,
                  levels: tuple[tuple[str, ...], ...]):
+        _check_tree_shape(q, full_height, depth)
         if len(levels) != depth + 1:
             raise ValueError("need one level per height 0..depth")
         parents: set[str] = set()
         for height, level in enumerate(levels):
             kept = set(level)
-            if height <= full_height or not height:
+            if height <= full_height:
                 # 2^height distinct 0/1 strings of length height are the whole level.
                 if (len(level) != 1 << height or len(kept) != len(level)
                         or set(map(len, level)) != {height} or not _is_bits("".join(level))):
@@ -145,8 +147,6 @@ def _check_tree_shape(q: int, full_height: int, depth: int) -> None:
         raise ValueError("q must be >= 1")
     if full_height < 0 or depth < 0:
         raise ValueError("heights must be naturals")
-    if min(full_height, depth) > _MAX_FULL_HEIGHT:
-        raise ValueError(f"full tree above height {_MAX_FULL_HEIGHT} is not materializable")
 
 
 def build_prefix_tree(sampler: Sampler, q: int, full_height: int, depth: int) -> PrefixTree:
@@ -156,36 +156,46 @@ def build_prefix_tree(sampler: Sampler, q: int, full_height: int, depth: int) ->
     survives iff its parent survived and the image of [0, 2qn) contains at
     least n codes of strings extending it (a string extends itself).
 
-    The decoded strings are kept sorted.  Every one is a 0/1 string, and
-    "2" sorts after both digits, so the strings extending a child form the
-    run [child, child + "2") of that order and two bisections count them.
+    No code is decoded to a string: each is read as its (length L, value v),
+    and with M the longest length and b = M.bit_length(), the integer keys
+    ((v << (M - L)) << b) | L are kept sorted.  A string extends the child of
+    value cv at height h iff its key lies in [((cv << (M - h)) << b) | h,
+    ((cv + 1) << (M - h)) << b), so two bisections count the extensions, and
+    a height past M keeps no child.
     """
     _check_tree_shape(q, full_height, depth)
+    if min(full_height, depth) > _MAX_FULL_HEIGHT:
+        raise ValueError(f"full tree above height {_MAX_FULL_HEIGHT} is not materializable")
     levels = [[""]]
     for height in range(1, min(full_height, depth) + 1):
         levels.append([s + b for s in levels[-1] for b in "01"])
 
-    strings, error = sampler._read(2 * q * depth if depth > full_height else 0)
-    if not isinstance(strings, list):
-        strings = list(strings)
-    for i, code in enumerate(strings):  # in place: a code is freed once its string is made
-        strings[i] = string_decode(code)
+    codes, error = sampler._read(2 * q * depth if depth > full_height else 0)
+    parts = list(map(string_parts, codes))
+    del codes  # freed before the keys are made, which lowers the peak
     if error is not None:
         raise error
-    decoded: list[str] = []  # sorted
+    longest = max((length for length, _ in parts), default=0)
+    b = longest.bit_length()
+    keys = [value << (longest - length + b) | length for length, value in parts]
+    # A full level: only parents of strings long enough for the next one count.
+    parents = sorted({value >> (length - full_height) for length, value
+                      in parts[: 2 * q * (full_height + 1)] if length > full_height})
+    decoded: list[int] = []  # sorted keys
     for height in range(full_height + 1, depth + 1):
-        for sigma in strings[len(decoded) : 2 * q * height]:
-            insort(decoded, sigma)
-        parents = levels[height - 1]
-        if height == full_height + 1:  # a full level: only parents of long enough strings count
-            parents = sorted({sigma[: height - 1] for sigma in decoded if len(sigma) >= height})
+        for key in keys[len(decoded) : 2 * q * height]:
+            insort(decoded, key)
         kept = []
-        for parent in parents:
-            for child in (parent + "0", parent + "1"):
-                extensions = bisect_left(decoded, child + "2") - bisect_left(decoded, child)
-                if extensions >= height:
-                    kept.append(child)
-        levels.append(kept)
+        if height <= longest:
+            shift = longest - height + b
+            for parent in parents:
+                for child in (2 * parent, 2 * parent + 1):
+                    extensions = (bisect_left(decoded, child + 1 << shift)
+                                  - bisect_left(decoded, child << shift | height))
+                    if extensions >= height:
+                        kept.append(child)
+        levels.append([format(child, f"0{height}b") for child in kept])
+        parents = kept
 
     return PrefixTree(
         q=q,
@@ -280,14 +290,9 @@ def _free(assigned: bytearray, first: int, last: int) -> bool:
     return assigned.find(1, first, last) < 0
 
 
-class _WctBlock(NamedTuple):
-    """The values of the wct injection on one block of inputs, in input order:
-    the ones of the 0/1 bytes `mask` in [first, last), then the values `tail`."""
-
-    mask: bytes
-    first: int
-    last: int
-    tail: list[int]
+# The values of the wct injection on one block of inputs, in input order: the
+# ones of the 0/1 bytes `mask` in [first, last), then the list of values `tail`.
+_WctBlock = namedtuple("_WctBlock", ["mask", "first", "last", "tail"])
 
 
 def _guess_masks(guesses: Mapping[int, str], max_n: int) -> list[bytes]:

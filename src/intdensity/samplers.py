@@ -11,10 +11,10 @@ because it proves the program is not a valid sampler.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
-from typing import Callable, Optional, Sequence
 
 from .codes import _int_field, _int_fields, _naturals
 from .errors import DomainError, HorizonError, InjectivityError
@@ -31,10 +31,10 @@ class Sampler:
         raw: Callable[[int], int],
         kind: str,
         label: str,
-        domain_bound: Optional[int] = None,
-        table: Optional[tuple[int, ...]] = None,
+        domain_bound: int | None = None,
+        table: tuple[int, ...] | None = None,
         involution: bool = False,
-        bulk: Optional[Callable[[int], Sequence[int]]] = None,
+        bulk: Callable[[int], Sequence[int]] | None = None,
     ):
         if kind not in ("injection", "permutation"):
             raise ValueError(f"kind must be injection or permutation, got {kind!r}")
@@ -61,7 +61,7 @@ class Sampler:
             raise error
         return values
 
-    def _read(self, n: int) -> tuple[Sequence[int], Optional[Exception]]:
+    def _read(self, n: int) -> tuple[Sequence[int], Exception | None]:
         """The prefix up to the first input that fails, and its error or None: a reader
         checks those values, then raises it, as a loop over the inputs would."""
         bound, table = self.domain_bound, self._table

@@ -23,11 +23,11 @@ Each kind of set has one backend:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import compress, islice
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
 
 from ._record import _Record
 from .codes import _is_bits, _int_field, _naturals
@@ -115,7 +115,7 @@ class _Backend:
     def count_below(self, n: int) -> int:
         return sum(_count_ones(bits) for _, bits in self._chunks(n))
 
-    def kth_one(self, k: int, bound: int) -> Optional[int]:
+    def kth_one(self, k: int, bound: int) -> int | None:
         # Count whole chunks in C and select only inside the one that holds the k-th one.
         for start, bits in self._chunks(bound):
             ones = _count_ones(bits)

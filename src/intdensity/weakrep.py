@@ -18,11 +18,11 @@ concrete function family together with its universal evaluator.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections.abc import Callable, Mapping, Sequence
 from contextlib import suppress
 from functools import cached_property
 from itertools import accumulate, chain, groupby, repeat
 from operator import itemgetter
-from typing import Callable, Mapping, Optional, Sequence
 
 from ._record import _Record
 from .codes import (
@@ -103,7 +103,7 @@ def _table_line(index: int, line: str) -> tuple[int, int, int]:
 
 
 class BulletCheck(_Record):
-    def __init__(self, name: str, passed: bool, witness: Optional[tuple], detail: str):
+    def __init__(self, name: str, passed: bool, witness: tuple | None, detail: str):
         self._freeze(name, passed, witness, detail)
 
 
@@ -190,7 +190,7 @@ def validate_weakrep(table: WeakRepTable) -> WeakRepReport:
     return WeakRepReport((representation, consistency, monotonicity, downward))
 
 
-def eval_step(table: WeakRepTable, x: int, z: int) -> Optional[int]:
+def eval_step(table: WeakRepTable, x: int, z: int) -> int | None:
     """The value to which x converges by step z, or None if it has not yet.
 
     Convergence by step z needs a triple (x, y, z) with y < z, which keeps
@@ -219,7 +219,7 @@ def eval_step(table: WeakRepTable, x: int, z: int) -> Optional[int]:
 class Program(_Record):
     """A budgeted evaluator: fn(x) returns (value, steps) or None to diverge."""
 
-    def __init__(self, name: str, fn: Callable[[int], Optional[tuple[int, int]]]):
+    def __init__(self, name: str, fn: Callable[[int], tuple[int, int] | None]):
         self._freeze(name, fn)
 
 
@@ -260,7 +260,7 @@ class FamilyRegistry(_Record):
     def __len__(self):
         return len(self.programs)
 
-    def _run(self, index: int, x: int) -> Optional[tuple[int, int]]:
+    def _run(self, index: int, x: int) -> tuple[int, int] | None:
         """(value, steps) at x, or None on divergence or budget overrun."""
         if not 0 <= index < len(self):
             raise ValueError(f"program index {index} outside the registry [0, {len(self)})")
@@ -269,7 +269,7 @@ class FamilyRegistry(_Record):
             return None
         return result
 
-    def eval(self, index: int, x: int) -> Optional[int]:
+    def eval(self, index: int, x: int) -> int | None:
         """The program's value at x, or None on divergence or budget overrun."""
         result = self._run(index, x)
         return None if result is None else result[0]
@@ -386,7 +386,7 @@ def adversary_rows(
 # -- query-string codings ----------------------------------------------------
 
 
-def psi_eval(pair_codes, x: int, budget: int) -> Optional[int]:
+def psi_eval(pair_codes, x: int, budget: int) -> int | None:
     """Least y < budget with <x, y> in the code set, if every smaller input
     also has such a witness; None (divergence) otherwise."""
     if x < 0 or budget < 0:
@@ -405,7 +405,7 @@ class SigmaMap(_Record):
     """Maps binary strings to program indices, with an optional default
     routing unmapped strings to a designated always-diverging program."""
 
-    def __init__(self, entries: Mapping[str, int], default: Optional[int] = None):
+    def __init__(self, entries: Mapping[str, int], default: int | None = None):
         self._freeze(entries, default)
 
     def lookup(self, sigma: str) -> int:

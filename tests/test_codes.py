@@ -20,6 +20,7 @@ from intdensity import (
     prefix_free_decode,
     string_code,
     string_decode,
+    string_parts,
     triple_code,
     triple_decode,
 )
@@ -150,6 +151,22 @@ class TestStringCode:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             string_code("012")
+
+
+class TestStringParts:
+    @given(st.integers(0, 1 << 300) | st.integers(0, 300).map(lambda n: (1 << n) - 1)
+           | st.integers(0, 1 << 70).map(Natural))
+    @example(0)
+    @example((1 << 70) - 2)
+    def test_is_the_length_and_value_of_the_decoded_string(self, code):
+        bits = string_decode(code)
+        assert string_parts(code) == (len(bits), int(bits or "0", 2))
+
+    @pytest.mark.parametrize("code", [-1, True, False, 2.5, "3", None, Natural(-2)])
+    def test_refuses_what_string_decode_refuses(self, code):
+        refused = outcome(string_parts, code)
+        assert refused == outcome(string_decode, code)
+        assert refused[:2] == (ValueError, f"code must be a natural number, got {code!r}")
 
 
 class TestPrefixCode:

@@ -204,14 +204,28 @@ class TestPrefixTree:
             (1, (("",), ("0", "1"), ("10", "10")), "level 2 repeats a string"),
             # A full level of the right width is refused as a whole, not as unclosed.
             (2, (("",), ("0", "1"), ("00", "01", "20", "21")), "level 2 must be the full tree"),
-            # Level 0 is the root even when no level is full.
-            (-1, ((),), "level 0 must be the full tree"),
+            # Level 0 is the root, so a tree without one is refused as not full.
+            (0, ((),), "level 0 must be the full tree"),
         ],
     )
     def test_levels_that_are_not_the_named_tree_are_refused(self, full_height, levels, message):
         depth = len(levels) - 1
         with pytest.raises(ValueError) as err:
             PrefixTree(q=1, full_height=full_height, depth=depth, levels=levels)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "q, full_height, depth, message",
+        [
+            (0, -1, 0, "q must be >= 1"),
+            (0, 0, 0, "q must be >= 1"),
+            (1, -1, 0, "heights must be naturals"),
+            (1, 0, -1, "heights must be naturals"),
+        ],
+    )
+    def test_scalar_fields_are_checked_before_the_levels(self, q, full_height, depth, message):
+        with pytest.raises(ValueError) as err:
+            PrefixTree(q=q, full_height=full_height, depth=depth, levels=(("",),))
         assert str(err.value) == message
 
     def test_rejects_bad_parameters(self):
@@ -236,6 +250,19 @@ class TestPrefixTree:
         assert code == 2
         assert "above height 20" in capsys.readouterr().err
         assert peak < 1 << 20
+
+    def test_depth_2048_tree_is_built_on_keys_not_strings(self):
+        # 12,288 prefix codes of up to 12,287 bits: decoded to strings they held
+        # about 75 MB; as (length, value) pairs and sorted integer keys, about 35 MB.
+        sampler = prefix_code_sampler(SetStream.from_spec("seed:7", 12288), 12288)
+        tracemalloc.start()
+        try:
+            tree = build_prefix_tree(sampler, 3, 1, 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.widths()[-1] == 1
+        assert peak < 40 * 10**6
 
 
 class TestWctTarget:

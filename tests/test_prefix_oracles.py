@@ -38,7 +38,7 @@ from intdensity import (
     preimage_partial_density,
     trace_from_sampler,
 )
-from intdensity.codes import cantor_pair, cantor_unpair
+from intdensity.codes import cantor_pair, cantor_unpair, string_code
 from intdensity.constructions import _traces
 from oracles import adversary_samplers, loop_adversary_rows, outcome, pair_values, scan_levels
 
@@ -153,6 +153,22 @@ def tables(draw):
         values = draw(st.lists(st.integers(0, 80), min_size=size, max_size=size, unique=True))
         bound = None
     return lambda: Sampler.from_table(values, domain_bound=bound)
+
+
+@st.composite
+def code_tables(draw):
+    """A table of distinct naturals below 2^12: the codes of strings of at most a
+    drawn length up to 11, which extend a prefix of one drawn string by a drawn
+    tail, among codes drawn at random.  Their lengths are mixed and they are not
+    prefixes of one string, but many share prefixes, so a tree can grow past its
+    first levels; depths past the longest length occur too."""
+    top = draw(st.integers(0, 11))
+    base = draw(st.text("01", min_size=top, max_size=top))
+    near = st.builds(lambda k, tail: string_code((base[:k] + tail)[:top]),
+                     st.integers(0, top), st.text("01", max_size=top))
+    codes = near | st.integers(0, (2 << top) - 2)
+    values = draw(st.lists(codes, unique=True, min_size=min(12, (2 << top) - 1), max_size=80))
+    return lambda: Sampler.from_table(values)
 
 
 BUILTINS = st.sampled_from([Sampler.identity, Sampler.double]) | st.builds(
@@ -339,8 +355,15 @@ def test_image_density_profile_fails_as_the_checkpoint_loop(make, horizon, check
 
 
 @PROPERTY
-@given(make=SAMPLERS, q=st.integers(1, 3), full_height=st.integers(0, 3),
-       depth=st.integers(0, 6))
+@given(make=SAMPLERS | code_tables(), q=st.integers(1, 3), full_height=st.integers(0, 3),
+       depth=st.integers(0, 12))
+# Input 1's code is not a natural; the domain ends at input 2, before the 2q * depth
+# inputs are read: the code's error comes first, as in a loop over the inputs.
+@example(make=lambda: Sampler.from_function([5, True].__getitem__, "injection", 2),
+         q=1, full_height=0, depth=2)
+# A sampler built directly is not checked for repeats: code 2, the string "1", on
+# every input is two extensions of "1", but none of "11" at height 2, past the longest.
+@example(make=lambda: Sampler(lambda x: 2, "injection", "ones"), q=1, full_height=0, depth=3)
 def test_build_prefix_tree(make, q, full_height, depth):
     expected = outcome(scan_levels, make(), q, full_height, depth)
     got = outcome(lambda: build_prefix_tree(make(), q, full_height, depth).levels)

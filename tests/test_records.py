@@ -67,10 +67,14 @@ class PrefixTree:
     levels: Any
 
     def __post_init__(self):
+        if self.q < 1:
+            raise ValueError("q must be >= 1")
+        if self.full_height < 0 or self.depth < 0:
+            raise ValueError("heights must be naturals")
         if len(self.levels) != self.depth + 1:
             raise ValueError("need one level per height 0..depth")
         for height, level in enumerate(self.levels):
-            if height <= self.full_height or height == 0:
+            if height <= self.full_height:
                 if sorted(level) != ["".join(bits) for bits in product("01", repeat=height)]:
                     raise ValueError(f"level {height} must be the full tree")
             elif len(level) > 2 * self.q:
@@ -285,10 +289,10 @@ def test_record_behaves_as_its_frozen_dataclass_twin(twin, data):
     assert repr(made) == repr(expected)
 
 
-def test_the_cli_imports_neither_dataclasses_nor_inspect():
+def test_the_cli_imports_neither_dataclasses_nor_inspect_nor_typing():
     # -S keeps site-packages' start-up hooks out, so only the package's imports count.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); import intdensity.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
