@@ -9,14 +9,12 @@ byte-identical stdout; wall time goes to stderr so it cannot perturb that.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import factorial
-from operator import itemgetter
 from time import perf_counter
 
 from . import constructions as cons
@@ -521,40 +519,45 @@ def _typed(items, kinds: set) -> bool:
 def _emit_csv(report: dict) -> str:
     """The report as `key,value` rows, keys the dotted paths of its leaves.
 
-    A list or tuple of exact `str` and `int` items is flattened in one
-    `rows.extend`; any other is walked item by item.  `csv.writer` quotes
-    every row, and each row ends in a newline.  A field holding a carriage
-    return or a newline is quoted on every Python: before 3.13, `csv` quotes
-    a bare carriage return only when the line terminator holds one, so rows
-    are written with CRLF terminators, and each is then cut to a newline.
+    A field is quoted iff it holds a comma, a double quote, a carriage return
+    or a newline, and each double quote in it is doubled; every row ends in a
+    newline.  These are the bytes of `csv.writer` on Python 3.11 to 3.13 with
+    CRLF terminators cut to a newline; 3.10's `csv` refuses a NUL, written
+    here unquoted like the others.  A list or tuple of exact `str` and `int`
+    items is written in bulk: one test of its path quotes every key, one scan
+    of its joined values finds whether any item needs more than a comma test,
+    and its rows are joined once.  Any other is walked item by item.
     """
-    rows = [("key", "value")]
+    rows = ["key,value\n"]
 
     def walk(obj, path):
         if isinstance(obj, dict):
             for key in sorted(obj):
                 walk(obj[key], f"{path}.{key}" if path else str(key))
         elif isinstance(obj, (list, tuple)) and _typed(obj, {str, int}):
-            rows.extend(zip(map(f"{path}.".__add__, map(str, range(len(obj)))), map(str, obj)))
+            key = _field(f"{path}.")
+            head, tail = (key[:-1], '"') if key[-1] == '"' else (key, "")
+            values = list(map(str, obj))
+            joined = "".join(values)
+            if '"' in joined or "\r" in joined or "\n" in joined:
+                values = map(_field, values)
+            elif "," in joined:
+                values = [f'"{value}"' if "," in value else value for value in values]
+            rows.append("".join([f"{head}{i}{tail},{value}\n" for i, value in enumerate(values)]))
         elif isinstance(obj, (list, tuple)):
             for i, item in enumerate(obj):
                 walk(item, f"{path}.{i}")
         else:
-            rows.append((path, "" if obj is None else str(obj)))
+            rows.append(f"{_field(path)},{_field('' if obj is None else str(obj))}\n")
 
     walk(report, "")
-    lines = _Lines()
-    csv.writer(lines, lineterminator="\r\n").writerows(rows)
-    return "\n".join(map(_UNTERMINATED, lines)) + "\n"
+    return "".join(rows)
 
 
-class _Lines(list):
-    """A file for `csv.writer` that keeps each row it writes as one item."""
-
-    write = list.append
-
-
-_UNTERMINATED = itemgetter(slice(None, -2))
+def _field(text: str) -> str:
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def main(argv=None) -> int:

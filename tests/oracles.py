@@ -9,6 +9,7 @@ compared with one `==`, errors included.
 
 import csv
 import io
+import sys
 from itertools import compress, count, islice
 from math import factorial
 
@@ -93,9 +94,11 @@ def loop_wct_blocks(masks):
 def walk_csv(report) -> str:
     """`cli._emit_csv` by its definition: one `key,value` row per leaf, walked one item at a time.
 
-    Each row is written with a CRLF terminator, so that every Python quotes
-    a field holding a carriage return, and the terminator is then cut to a
-    newline.
+    Each row is written by `csv.writer` with a CRLF terminator, so that
+    every Python quotes a field holding a carriage return, and the
+    terminator is then cut to a newline.  Before 3.11, `csv` refuses to
+    write a NUL unescaped, so there a row holding one is written with a
+    stand-in character absent from the row, mapped back afterwards.
     """
     rows = []
 
@@ -112,9 +115,15 @@ def walk_csv(report) -> str:
     walk(report, "")
     lines = []
     for row in [("key", "value"), *rows]:
+        text = "".join(row)
+        nul = sys.version_info < (3, 11) and "\x00" in text
+        if nul:
+            stand_in = next(c for c in map(chr, count(0xE000)) if c not in text)
+            row = [field.replace("\x00", stand_in) for field in row]
         out = io.StringIO()
         csv.writer(out, lineterminator="\r\n").writerow(row)
-        lines.append(out.getvalue().removesuffix("\r\n") + "\n")
+        line = out.getvalue().removesuffix("\r\n")
+        lines.append((line.replace(stand_in, "\x00") if nul else line) + "\n")
     return "".join(lines)
 
 

@@ -291,8 +291,9 @@ def test_record_behaves_as_its_frozen_dataclass_twin(twin, data):
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect_nor_typing():
     # -S keeps site-packages' start-up hooks out, so only the package's imports count.
+    # The CSV writer quotes by its own rule, so `csv` is not loaded either.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); import intdensity.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'csv', '_csv'} & set(sys.modules)))")
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

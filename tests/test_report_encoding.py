@@ -9,15 +9,22 @@ decimal-digit limit, and strings with quotes, newlines, non-ASCII text and
 the very text that separates two indented records.
 
 `cli._emit_csv` must write exactly the rows of `oracles.walk_csv`, the
-recursive walk that visits one leaf at a time, while it flattens each list
-or tuple of exact `str` and `int` items in one call.  The reports drawn for
+recursive walk that visits one leaf at a time, while it writes each list
+or tuple of exact `str` and `int` items in bulk.  The reports drawn for
 it nest dicts, lists and tuples, hold empty lists, and mix ints, bools,
 `None`, floats and strings with commas, quotes, newlines and bare
-carriage returns, which every Python must quote alike.
+carriage returns, which every Python must quote alike; their keys hold
+commas, quotes and newlines too.  Its quoting rule is pinned on its own,
+for every code point of the Basic Multilingual Plane, against `csv.writer`
+itself.
 """
 
+import csv
 import json
+import sys
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -70,7 +77,7 @@ CSV_TEXT = st.text(max_size=6) | st.sampled_from(
     [",", '"', "\n", "x,y,z", 'a "b", c', "\r\n", "", "\r", "a\rb", "\ra\r\n"]
 )
 CSV_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | CSV_TEXT
-CSV_KEYS = st.text("abxyz09._", max_size=4)
+CSV_KEYS = st.text('abxyz09._,"\n', max_size=4)
 # Lists of only str and int, the bulk path's kind, are drawn on their own too.
 CSV_LEAVES = CSV_SCALARS | st.lists(st.integers() | CSV_TEXT, max_size=6)
 CSV_REPORTS = st.dictionaries(CSV_KEYS, st.recursive(
@@ -91,5 +98,37 @@ CSV_REPORTS = st.dictionaries(CSV_KEYS, st.recursive(
 @example(report={"a": ['say "hi"', "x\ny"], "b": [[1, 2], ["3"]], "c": [{"k": 1}]})
 @example(report={"big": [1, 10 ** 5000]})
 @example(report={"set": "list:1\r", "values": ["a\rb", "x\r\ny", 3], "n": None})
+# The bulk path's branches: every item quoted, none, some, and items that
+# need more than a comma test.
+@example(report={"triples": ["0,0,1", "1,1,1", "x,y,z"]})
+@example(report={"plain": ["a", 1, "", "b c"]})
+@example(report={"mixed": ["x,y", "z", 4, ",", ""]})
+@example(report={"q": ['a"b', "x,y", 1], "r": ["c\rd", "e"], "n": ["f\ng", 2], "rn": ["h\r\ni", "j,k"]})
+# Keys that need quoting, over a scalar and over a flat list.
+@example(report={"a,b": 1, 'c"d': [1, "x,y"], "e": {"f,g": ["h"], 'i"': "j", "k\n": [2]}})
+# 3.10's csv refuses a NUL; the writer, like 3.11 to 3.13, leaves it unquoted.
+@example(report={"a\x00b": "a\x00b", "l": ["a\x00b", "c,d\x00"]})
 def test_emit_csv_matches_the_recursive_walk(report):
     assert outcome(_emit_csv, report) == outcome(walk_csv, report)
+
+
+def test_every_code_point_is_quoted_as_csv_writer_quotes_it():
+    # Each of U+0000 to U+FFFF, alone as the key and as the value of a
+    # one-row report, against the row of csv.writer with a CRLF terminator,
+    # cut to a newline.  Before 3.11, csv refuses a NUL instead.
+    written = []
+    writer = csv.writer(SimpleNamespace(write=written.append), lineterminator="\r\n")
+    mismatches = []
+    for char in map(chr, range(0x10000)):
+        for key, value in ((char, "v"), ("k", char)):
+            got = _emit_csv({key: value})
+            if char == "\x00" and sys.version_info < (3, 11):
+                with pytest.raises(csv.Error):
+                    writer.writerow((key, value))
+                expected = f"{key},{value}\n"
+            else:
+                writer.writerow((key, value))
+                expected = written[-1].removesuffix("\r\n") + "\n"
+            if got != "key,value\n" + expected:
+                mismatches.append((key, value, got))
+    assert mismatches == []
