@@ -78,9 +78,9 @@ def _int_fields(lines, width: int, read_line) -> list[int]:
     return list(chain.from_iterable(map(read_line, count(), _data_lines(lines))))
 
 
-def _check_bits(bits: str, name: str = "bits") -> str:
+def _check_bits(bits: str) -> str:
     if not _is_bits(bits):
-        raise ValueError(f"{name} must be a string over {{0,1}}, got {bits!r}")
+        raise ValueError(f"bits must be a string over {{0,1}}, got {bits!r}")
     return bits
 
 

@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import io
 from bisect import bisect_left, insort
 from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
@@ -266,10 +265,7 @@ class WctInjection(_Record):
         )
 
     def to_csv_text(self) -> str:
-        out = io.StringIO()
-        for j, value in enumerate(self.table):
-            out.write(f"{j},{value}\n")
-        return out.getvalue()
+        return "".join(f"{j},{value}\n" for j, value in enumerate(self.table))
 
 
 def build_wct_injection(guesses: Mapping[int, str], max_n: int) -> WctInjection:
@@ -360,7 +356,7 @@ def _wct_blocks(masks: Sequence[bytes]) -> list[_WctBlock]:
 
     # Each value was unassigned when it was taken, so the values are distinct
     # exactly when max_n! of them are marked.
-    distinct = _Buffered(assigned).count_below(size)
+    distinct = _count_ones(assigned)
     if distinct != factorial(max_n):
         raise InjectivityError(
             f"the wct injection takes {distinct} distinct values on {factorial(max_n)} inputs"

@@ -224,16 +224,6 @@ class _SeededBits(_Buffered):
 
     def __init__(self, seed: int, num: int, den: int):
         super().__init__()
-        self._seed = seed
-        self._num = num
-        self._den = den
-        # The per-denominator constants and readout, and the inputs of step -1, made by
-        # the first fill: rebuilding the constants in every fill cost the wct bench
-        # about a tenth of its jobs per second.
-        self._constants = None
-        self._inputs = None  # the lane inputs of the last step
-
-    def _fill(self, upto):
         # For den <= 2^63, with L = (den - 1).bit_length(), F = 64 + L and c = ceil(2^F / den),
         # x = c v mod 2^F has v mod den = floor(x den / 2^F), so v mod den < num iff
         # x < t = ceil(num 2^F / den), iff x + 2^F - t does not carry into bit F.  As
@@ -241,25 +231,25 @@ class _SeededBits(_Buffered):
         # den = 2^L, c = 2^64 and the multiply is skipped.  For den > 2^63, v < 2 den, so
         # the bit is [v < num] + [v >= den] - [v >= den + num], each a carry into bit 64,
         # its addend clamped to [0, 2^64].
-        steps, ones, low, stride = _lanes()
-        if self._constants is None:
-            num, den = self._num, self._den
-            if den > 1 << 63:  # the clamped addends and the carry bit 64
-                extra = [min(num, 1 << 64) * ones, max(0, (1 << 64) - den) * ones,
-                         max(0, (1 << 64) - den - num) * ones, ones << 64]
-                readout = None
-            else:
-                width = 64 + (den - 1).bit_length()  # F
-                c, t = -(-(1 << width) // den), -(-(num << width) // den)
-                # 2^F - 1, 2^L - 1 and 2^F - t in each lane; then c - 2^64, and the byte of
-                # a lane that holds bit F, the sum's top bit, read as 1 where bit F is clear
-                extra = [((1 << width) - 1) * ones, ((1 << (width - 64)) - 1) * ones,
-                         ((1 << width) - t) * ones]
-                clear = bytes(1 - ((b >> (width % 8)) & 1) for b in range(256))
-                readout = (c - (1 << 64), width // 8, clear)
-            self._constants = extra, readout
-            self._inputs = (steps + ((self._seed - _CHUNK * SPLITMIX_GAMMA) & _U64) * ones) & low
-        extra, readout = self._constants
+        steps, ones, self._low, self._stride = _lanes()
+        if den > 1 << 63:  # the clamped addends and the carry bit 64
+            self._extra = [min(num, 1 << 64) * ones, max(0, (1 << 64) - den) * ones,
+                           max(0, (1 << 64) - den - num) * ones, ones << 64]
+            self._readout = None
+        else:
+            width = 64 + (den - 1).bit_length()  # F
+            c, t = -(-(1 << width) // den), -(-(num << width) // den)
+            # 2^F - 1, 2^L - 1 and 2^F - t in each lane; then c - 2^64, and the byte of
+            # a lane that holds bit F, the sum's top bit, read as 1 where bit F is clear
+            self._extra = [((1 << width) - 1) * ones, ((1 << (width - 64)) - 1) * ones,
+                           ((1 << width) - t) * ones]
+            clear = bytes(1 - ((b >> (width % 8)) & 1) for b in range(256))
+            self._readout = (c - (1 << 64), width // 8, clear)
+        # the lane inputs of step -1, then of the last step filled
+        self._inputs = (steps + ((seed - _CHUNK * SPLITMIX_GAMMA) & _U64) * ones) & self._low
+
+    def _fill(self, upto):
+        extra, readout, low, stride = self._extra, self._readout, self._low, self._stride
         while len(self._buf) < upto:
             z = self._inputs = (self._inputs + stride) & low
             z = (((z ^ (z >> 30)) & low) * _MIX_MUL_1) & low

@@ -25,6 +25,7 @@ from intdensity import (
     graph_set,
     hit_indices,
     introreduce,
+    parse_sampler,
     preimage_partial_density,
     prefix_code_sampler,
     prefix_set,
@@ -356,6 +357,14 @@ class TestWctInjection:
     def test_csv_export(self):
         injection = build_wct_injection({1: "10", 2: "1010"}, 2)
         assert injection.to_csv_text() == "0,0\n1,2\n"
+
+    def test_csv_export_reads_back_as_a_table_spec(self, tmp_path):
+        # Block 2 takes value 2, which block 3 prefers first, so block 3 falls back to 1.
+        injection = build_wct_injection({1: "10", 2: "0110", 3: "1111000011"}, 3)
+        assert injection.table == (0, 2, 1, 3, 8, 9)
+        path = tmp_path / "injection.csv"
+        path.write_text(injection.to_csv_text())
+        assert parse_sampler(f"table:{path}").prefix(6) == injection.table
 
 
 class TestGraphSet:

@@ -105,6 +105,10 @@ class TestTables:
             ("nope", "unknown sampler spec 'nope'"),
             ("shift:x", "bad integer 'x' in spec 'shift:x'"),
             ("swapblocks:z", "bad integer 'z' in spec 'swapblocks:z'"),
+            ("identity:", "unknown sampler spec 'identity:'"),
+            ("shift", "unknown sampler spec 'shift'"),
+            ("double:x", "unknown sampler spec 'double:x'"),
+            ("shift:", "bad integer '' in spec 'shift:'"),
         ]:
             with pytest.raises(ValueError) as err:
                 parse_sampler(spec)

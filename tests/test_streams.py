@@ -127,6 +127,11 @@ class TestSpecDsl:
             ("seed:1:q=1/2", "bad probability clause in 'seed:1:q=1/2'"),
             ("seed:1:p=1/3:x", "bad seed spec 'seed:1:p=1/3:x'"),
             ("list:a,b", "bad integer 'a' in spec 'list:a,b'"),
+            ("evens:", "unknown stream spec 'evens:'"),
+            ("empty:", "unknown stream spec 'empty:'"),
+            ("seed", "unknown stream spec 'seed'"),
+            ("seed:1:", "bad probability clause in 'seed:1:'"),
+            ("seed:1::", "bad seed spec 'seed:1::'"),
         ]:
             with pytest.raises(ValueError) as err:
                 SetStream.from_spec(spec, 8)

@@ -465,6 +465,10 @@ class TestManifest:
             ("nope", "unknown program spec 'nope'"),
             ("const:-1", "constant must be a natural number"),
             ("slowid:0", "slowid step count must be >= 1"),
+            ("identity:", "unknown program spec 'identity:'"),
+            ("const", "unknown program spec 'const'"),
+            ("diverge:", "unknown program spec 'diverge:'"),
+            ("const:", "bad integer '' in spec 'const:'"),
         ]:
             with pytest.raises(ValueError) as err:
                 builtin_program(spec)
