@@ -219,7 +219,9 @@ class _SeededBits(_Buffered):
     the next lane.  Each bit equals `splitmix64(seed, i) % den < num`, read off carries
     without a division: for every den <= 2^63, powers of two included, by one direct
     remainder (Lemire, Kaser and Kurz, "Faster remainder by direct computation", SPE
-    2019), and for den > 2^63 by three clamped carries.
+    2019), and for den > 2^63 by three clamped carries.  At den = 2^L the remainder is
+    the output's low L bits (F = L), so the mixer multiplies by its constants cut to the
+    bits that those L bits depend on: 59 and 29 bits at p = 1/2, not 64 and 64.
     """
 
     def __init__(self, seed: int, num: int, den: int):
@@ -227,33 +229,42 @@ class _SeededBits(_Buffered):
         # For den <= 2^63, with L = (den - 1).bit_length(), F = 64 + L and c = ceil(2^F / den),
         # x = c v mod 2^F has v mod den = floor(x den / 2^F), so v mod den < num iff
         # x < t = ceil(num 2^F / den), iff x + 2^F - t does not carry into bit F.  As
-        # 2^64 <= c < 2^65, a lane holds x = ((v mod 2^L) 2^64 + v (c - 2^64)) mod 2^F; at
-        # den = 2^L, c = 2^64 and the multiply is skipped.  For den > 2^63, v < 2 den, so
-        # the bit is [v < num] + [v >= den] - [v >= den + num], each a carry into bit 64,
-        # its addend clamped to [0, 2^64].
+        # 2^64 <= c < 2^65, a lane holds x = ((v mod 2^L) 2^64 + v (c - 2^64)) mod 2^F.  At
+        # den = 2^L, F = L and c = 1 serve as well: x = v mod 2^L, t = num and no multiply.
+        # Only v mod 2^F is read then; as (a b) mod 2^W needs a and b mod 2^W only, and
+        # z ^ (z >> s) mod 2^W needs z mod 2^(W+s) only, the mixer's multipliers are cut to
+        # their low min(64, F + 58) and min(64, F + 31) bits: all 64 unless den = 2^L with
+        # L < 33.  For den > 2^63, v < 2 den, so the bit is [v < num] + [v >= den] -
+        # [v >= den + num], each a carry into bit 64, its addend clamped to [0, 2^64].
         steps, ones, self._low, self._stride = _lanes()
+        self._muls = (_MIX_MUL_1, _MIX_MUL_2)
         if den > 1 << 63:  # the clamped addends and the carry bit 64
             self._extra = [min(num, 1 << 64) * ones, max(0, (1 << 64) - den) * ones,
                            max(0, (1 << 64) - den - num) * ones, ones << 64]
             self._readout = None
         else:
-            width = 64 + (den - 1).bit_length()  # F
+            bits = (den - 1).bit_length()  # L
+            width = bits + (64 if den & (den - 1) else 0)  # F
             c, t = -(-(1 << width) // den), -(-(num << width) // den)
-            # 2^F - 1, 2^L - 1 and 2^F - t in each lane; then c - 2^64, and the byte of
-            # a lane that holds bit F, the sum's top bit, read as 1 where bit F is clear
-            self._extra = [((1 << width) - 1) * ones, ((1 << (width - 64)) - 1) * ones,
+            self._muls = (_MIX_MUL_1 & ((1 << min(64, width + 58)) - 1),
+                          _MIX_MUL_2 & ((1 << min(64, width + 31)) - 1))
+            # 2^F - 1, 2^L - 1 and 2^F - t in each lane; then c - 2^(F-L) (0 at a power of
+            # two), and the byte of a lane that holds bit F, the sum's top bit, read as 1
+            # where bit F is clear
+            self._extra = [((1 << width) - 1) * ones, ((1 << bits) - 1) * ones,
                            ((1 << width) - t) * ones]
             clear = bytes(1 - ((b >> (width % 8)) & 1) for b in range(256))
-            self._readout = (c - (1 << 64), width // 8, clear)
+            self._readout = (c - (1 << (width - bits)), width // 8, clear)
         # the lane inputs of step -1, then of the last step filled
         self._inputs = (steps + ((seed - _CHUNK * SPLITMIX_GAMMA) & _U64) * ones) & self._low
 
     def _fill(self, upto):
         extra, readout, low, stride = self._extra, self._readout, self._low, self._stride
+        mul_1, mul_2 = self._muls
         while len(self._buf) < upto:
             z = self._inputs = (self._inputs + stride) & low
-            z = (((z ^ (z >> 30)) & low) * _MIX_MUL_1) & low
-            z = (((z ^ (z >> 27)) & low) * _MIX_MUL_2) & low
+            z = (((z ^ (z >> 30)) & low) * mul_1) & low
+            z = (((z ^ (z >> 27)) & low) * mul_2) & low
             z ^= z >> 31  # only the low 64 bits of each lane are read below
             if readout is None:  # den > 2^63: the clamped carries
                 nums, den_off, den_num_off, carry = extra
@@ -264,10 +275,10 @@ class _SeededBits(_Buffered):
             else:
                 top, low_bits, past = extra
                 multiplier, at, clear = readout
-                x = (z & low_bits) << 64
+                x = z & low_bits
                 if multiplier:  # on z masked first: the finalizer left the next lane's low bits
                     # in bits 97-127
-                    x = ((((z & low) * multiplier) & top) + x) & top
+                    x = ((((z & low) * multiplier) & top) + (x << 64)) & top
                 self._buf += (x + past).to_bytes(16 * _CHUNK, "little")[at::16].translate(clear)
 
 

@@ -535,17 +535,22 @@ def test_bulk_fill_matches_splitmix64(num, den, seed, start, length):
         assert bytes(backend._buf) == per_index_bits(seed, num, den, filled)
 
 
-# Dens of the direct remainder, powers of two among them, whose carry bit
-# F = 64 + (den - 1).bit_length() is bit 0 of byte 9 (at 2^8: F = 72), bit 0
-# of byte 15 (2^55 + 1, 2^56 - 1 and 2^56: F = 120), bit 1 of byte 15
-# (2^56 + 1 and 2^57: F = 121) and bit 7 of byte 15 (2^63 - 1 and 2^63:
-# F = 127); and dens on both sides of 2^63 and 2^64, where the clamped
+# Dens of the direct remainder, whose carry bit F = 64 + (den - 1).bit_length()
+# is bit 0 of byte 15 (2^55 + 1 and 2^56 - 1: F = 120), bit 1 of byte 15
+# (2^56 + 1: F = 121) and bit 7 of byte 15 (2^63 - 1: F = 127); at a power
+# of two 2^L it is bit F = L: bit 1 of byte 0 at 2^1, bit 0 of byte 1 at 2^8,
+# bit 0 of byte 7 at 2^56, bit 1 of byte 7 at 2^57 and bit 7 of byte 7 at
+# 2^63.  The powers of two cut the mixer's multipliers to min(64, L + 58) and
+# min(64, L + 31) bits: the first is 59 to 64 bits wide at 2^1 to 2^6, the
+# second 2 and 3 CPython digits at 2^29 and 2^30, and 63 and 64 bits at 2^32
+# and 2^33.  Then dens on both sides of 2^63 and 2^64, where the clamped
 # carries take over; at every num where the carries change, for requests
 # that end mid-step, each filled to the end of its step.
 GRID_DENS = [
     1, 2, 3, 5, 6, 7, 10, 2**8, 1000003, 2**32 - 1, 2**32 + 1, 2**55 + 1, 2**56 - 1,
     2**56, 2**56 + 1, 2**57, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64,
     2**64 + 1, 2**65, 3**50,
+    4, 8, 16, 32, 64, 2**29, 2**30, 2**32, 2**33,
 ]
 GRID_LENGTHS = [1, 1023, 4097, 3 * _CHUNK + 5]
 
@@ -609,7 +614,8 @@ MIXED_ENSURES = [1, 1023, 4096, 4097, 3 * 1024 + 4096, 4 * 4096 + 2 * 1024,
 def test_fill_through_mixed_requests_matches_splitmix64(seed):
     assert _CHUNK == 4096
     words = [splitmix64(seed, i) for i in range(14 * _CHUNK)]
-    for den in [2, 4, 2**63, 2**64, 5, 7, 2**62 + 1, 3**50]:
+    for den in [2, 4, 2**63, 2**64, 5, 7, 2**62 + 1, 3**50,
+                8, 16, 32, 64, 2**29, 2**30, 2**32, 2**33]:
         for num in sorted({1, den // 3, den - 1}):
             backend = _SeededBits(seed, num, den)
             for upto in MIXED_ENSURES:
@@ -618,6 +624,23 @@ def test_fill_through_mixed_requests_matches_splitmix64(seed):
                 assert upto <= filled < upto + _CHUNK, (den, num, upto)
                 expected = bytes(w % den < num for w in words[:filled])
                 assert backend._buf == expected, (den, num, upto)
+
+
+# A fill multiplies by the mixer's constants cut to the bits that the bits
+# it reads depend on: at a power of two 2^L below 2^33, to min(64, L + 58)
+# and min(64, L + 31) bits.  Whole constants give the same bits, so only
+# this test and the bench tell them apart.
+@pytest.mark.parametrize("num, den, muls, widths", [
+    (1, 2, (0x758476D1CE4E5B9, 0x133111EB), (59, 29)),
+    (3, 4, (0xF58476D1CE4E5B9, 0x1133111EB), (60, 33)),
+    (1, 5, (streams._MIX_MUL_1, streams._MIX_MUL_2), (64, 64)),
+    (1, 2**40, (streams._MIX_MUL_1, streams._MIX_MUL_2), (64, 64)),
+    (1, 2**63 + 1, (streams._MIX_MUL_1, streams._MIX_MUL_2), (64, 64)),
+])
+def test_fill_multipliers_are_cut_to_the_bits_read(num, den, muls, widths):
+    backend = _SeededBits(7, num, den)
+    assert backend._muls == muls
+    assert tuple(mul.bit_length() for mul in backend._muls) == widths
 
 
 # Counts and selects read whole chunks, so they are checked one bit below,
