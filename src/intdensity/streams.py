@@ -47,6 +47,12 @@ _U64 = (1 << 64) - 1
 # Counts read _CHUNK-bit chunks, by popcount.
 _CHUNK = 1 << 12
 
+# Four halving folds pack byte 0 of each 128-bit lane into _CHUNK bytes (the SWAR
+# "compress" of Warren, Hacker's Delight, 2nd ed., section 7-4): the fold at r keeps the
+# low half and ORs the high half's lane k into bytes r to 2r - 1 of lane k, while the low
+# half's lanes, which hold bytes below r only, fall below bit 0.  (mask, shift) per fold.
+_FOLDS = tuple(((1 << 64 * _CHUNK // r) - 1, 64 * _CHUNK // r - 8 * r) for r in (1, 2, 4, 8))
+
 # Render a 0/1 byte buffer as the characters "0"/"1", and back.
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 _CHAR_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -65,17 +71,28 @@ def splitmix64(seed: int, index: int) -> int:
 def _lanes() -> tuple[int, int, int, int]:
     """(steps, ones, low, stride) over _CHUNK 128-bit lanes, built once by doubling.
 
-    Lane k of `steps` holds (k+1)*GAMMA mod 2^64, lane k of `ones` holds 1,
-    lane k of `low` holds 2^64 - 1 and lane k of `stride` holds _CHUNK*GAMMA mod 2^64.
+    Lane k + 256m of `steps` holds (16k + rev4(m) + 1)*GAMMA mod 2^64, where rev4
+    reverses 4 bits: the input of the bit that `_pack` puts at byte 16k + rev4(m).  Lane
+    k of `ones` holds 1, lane k of `low` holds 2^64 - 1 and lane k of `stride` holds
+    _CHUNK*GAMMA mod 2^64.
     """
     steps, ones, width = SPLITMIX_GAMMA, 1, 1
     while width < _CHUNK:
-        # lane width + k is lane k plus width*GAMMA, mod 2^64
-        stride = (width * SPLITMIX_GAMMA) & _U64
+        # lane width + k is lane k plus 16*width indices while width < 256, and plus
+        # rev4(width/256) = 2048/width indices after that, mod 2^64
+        stride = ((16 * width if width < 256 else 2048 // width) * SPLITMIX_GAMMA) & _U64
         steps |= ((steps + stride * ones) & (ones * _U64)) << (128 * width)
         ones |= ones << (128 * width)
         width *= 2
     return steps, ones, ones * _U64, ((_CHUNK * SPLITMIX_GAMMA) & _U64) * ones
+
+
+def _pack(lanes: int) -> bytes:
+    """Byte 0 of each 128-bit lane, whose other bytes are 0, as _CHUNK bytes in bit
+    order: byte 16k + r holds lane k + 256 rev4(r) (see `_lanes`)."""
+    for mask, shift in _FOLDS:
+        lanes = (lanes & mask) | (lanes >> shift)
+    return lanes.to_bytes(_CHUNK, "little")
 
 
 def _count_ones(bits) -> int:
@@ -211,17 +228,19 @@ class _Buffered(_Backend):
 class _SeededBits(_Buffered):
     """Bits of `seed:` specs, computed _CHUNK at a time in 128-bit lanes.
 
-    The buffer grows by whole steps.  Lane k of a step holds the mixer input of bit
-    start + k, so each step's inputs are the last step's plus _CHUNK * GAMMA, the first
-    step's included: it follows a step -1 made with the lane constants.  The finalizer
-    runs on all lanes of one Python int at once, and every lane is masked to 64 bits
-    before each multiply, so a lane's product fits in its 128 bits and no carry reaches
-    the next lane.  Each bit equals `splitmix64(seed, i) % den < num`, read off carries
-    without a division: for every den <= 2^63, powers of two included, by one direct
-    remainder (Lemire, Kaser and Kurz, "Faster remainder by direct computation", SPE
-    2019), and for den > 2^63 by three clamped carries.  At den = 2^L the remainder is
-    the output's low L bits (F = L), so the mixer multiplies by its constants cut to the
-    bits that those L bits depend on: 59 and 29 bits at p = 1/2, not 64 and 64.
+    The buffer grows by whole steps.  Lane k of a step holds the mixer input of the bit
+    that `_pack` puts at byte k of the step's bytes (see `_lanes`), so each step's inputs
+    are the last step's plus _CHUNK * GAMMA, the first step's included: it follows a step
+    -1 made with the lane constants.  The finalizer runs on all lanes of one Python int at
+    once, and every lane is masked to 64 bits before each multiply, so a lane's product
+    fits in its 128 bits and no carry reaches the next lane.  Each bit equals
+    `splitmix64(seed, i) % den < num`, read off carries without a division: for every
+    den <= 2^63, powers of two included, by one direct remainder (Lemire, Kaser and Kurz,
+    "Faster remainder by direct computation", SPE 2019), and for den > 2^63 by three
+    clamped carries.  At den = 2^L the remainder is the output's low L bits (F = L), so
+    the mixer multiplies by its constants cut to the bits that those L bits depend on: 59
+    and 29 bits at p = 1/2, not 64 and 64.  Each readout leaves one byte per lane, in byte
+    0, and `_pack` folds those bytes into the step's _CHUNK bytes.
     """
 
     def __init__(self, seed: int, num: int, den: int):
@@ -238,6 +257,7 @@ class _SeededBits(_Buffered):
         # [v >= den + num], each a carry into bit 64, its addend clamped to [0, 2^64].
         steps, ones, self._low, self._stride = _lanes()
         self._muls = (_MIX_MUL_1, _MIX_MUL_2)
+        self._table = None  # the clamped carries leave 0/1 bytes
         if den > 1 << 63:  # the clamped addends and the carry bit 64
             self._extra = [min(num, 1 << 64) * ones, max(0, (1 << 64) - den) * ones,
                            max(0, (1 << 64) - den - num) * ones, ones << 64]
@@ -248,38 +268,42 @@ class _SeededBits(_Buffered):
             c, t = -(-(1 << width) // den), -(-(num << width) // den)
             self._muls = (_MIX_MUL_1 & ((1 << min(64, width + 58)) - 1),
                           _MIX_MUL_2 & ((1 << min(64, width + 31)) - 1))
-            # 2^F - 1, 2^L - 1 and 2^F - t in each lane; then c - 2^(F-L) (0 at a power of
-            # two), and the byte of a lane that holds bit F, the sum's top bit, read as 1
-            # where bit F is clear
-            self._extra = [((1 << width) - 1) * ones, ((1 << bits) - 1) * ones,
-                           ((1 << width) - t) * ones]
-            clear = bytes(1 - ((b >> (width % 8)) & 1) for b in range(256))
-            self._readout = (c - (1 << (width - bits)), width // 8, clear)
+            # 2^F - 1 and 2^L - 1 in each lane; then c - 2^(F-L) (0 at a power of two), and
+            # the shift that brings the byte of a lane that holds bit F to byte 0
+            self._extra = [((1 << width) - 1) * ones, ((1 << bits) - 1) * ones, None, None]
+            self._readout = (c - (1 << (width - bits)), 8 * (width // 8))
+            if width < 8:  # den = 2^L <= 2^7: x = v mod 2^L is byte 0, and the bit is x < num
+                self._table = bytes(b < num for b in range(256))
+            else:  # 2^F - t and 255 in each lane; the sum's top bit F read as 1 where clear
+                self._extra[2:] = ((1 << width) - t) * ones, 255 * ones
+                self._table = bytes(1 - ((b >> (width % 8)) & 1) for b in range(256))
         # the lane inputs of step -1, then of the last step filled
         self._inputs = (steps + ((seed - _CHUNK * SPLITMIX_GAMMA) & _U64) * ones) & self._low
 
     def _fill(self, upto):
-        extra, readout, low, stride = self._extra, self._readout, self._low, self._stride
+        extra, readout, table, low, stride = (self._extra, self._readout, self._table,
+                                              self._low, self._stride)
         mul_1, mul_2 = self._muls
         while len(self._buf) < upto:
             z = self._inputs = (self._inputs + stride) & low
             z = (((z ^ (z >> 30)) & low) * mul_1) & low
             z = (((z ^ (z >> 27)) & low) * mul_2) & low
             z ^= z >> 31  # only the low 64 bits of each lane are read below
-            if readout is None:  # den > 2^63: the clamped carries
+            if readout is None:  # den > 2^63: the clamped carries, moved to bit 0
                 nums, den_off, den_num_off, carry = extra
                 z &= low
-                bits = (((z ^ low) + nums) & carry) + ((z + den_off) & carry)
-                bits -= (z + den_num_off) & carry
-                self._buf += bits.to_bytes(16 * _CHUNK, "little")[8::16]
+                y = (((z ^ low) + nums) & carry) + ((z + den_off) & carry)
+                y = (y - ((z + den_num_off) & carry)) >> 64
             else:
-                top, low_bits, past = extra
-                multiplier, at, clear = readout
-                x = z & low_bits
+                top, low_bits, past, byte_0 = extra
+                multiplier, shift = readout
+                y = z & low_bits
                 if multiplier:  # on z masked first: the finalizer left the next lane's low bits
                     # in bits 97-127
-                    x = ((((z & low) * multiplier) & top) + (x << 64)) & top
-                self._buf += (x + past).to_bytes(16 * _CHUNK, "little")[at::16].translate(clear)
+                    y = ((((z & low) * multiplier) & top) + (y << 64)) & top
+                if shift:  # which moves the next lane's low bytes into bytes 1-15
+                    y = ((y + past) >> shift) & byte_0
+            self._buf += _pack(y).translate(table)
 
 
 class _Periodic(_Backend):

@@ -114,6 +114,12 @@ CASES = {
         "density", "--set", "seed:9:p=4611686018427387905/9223372036854775809",
         "--checkpoints", "4,64,4096,4097,10000",
     ]),
+    # A power of two whose carry bit lies past byte 0 of a lane: at 2^10 it is bit 2 of
+    # byte 1, which the fill shifts down to byte 0; 426 steps.
+    "wct-seed42-p3_1024-nmax7": (0, [
+        "wct", "--set", "seed:42:p=3/1024", "--horizon", "2000000", "--nmax", "7",
+        "--oracle-trace",
+    ]),
     "density-evens-double": (0, [
         "density", "--set", "evens", "--checkpoints", "8,16", "--sampler", "double",
     ]),

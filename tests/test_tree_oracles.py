@@ -9,7 +9,8 @@ tuple-membership closure check of `PrefixTree`, the per-bit join of
 bulk `gather`), a select from bit 0 for every `kth_one`, the zero-padded
 `string_decode`, the per-character bit-string check, the membership closures
 of `graph_set` and `image_set`, the per-character membership rule of
-`prefix_set`, the per-index `splitmix64` definition of seeded bits,
+`prefix_set`, the per-index `splitmix64` definition of seeded bits and the
+strided one-byte-per-lane readout of `_pack`,
 per-checkpoint `preimage_partial_density` for `preimage_hits`, the `dom`
 report built from the adversary rows one evaluation at a time, and
 per-element `cantor_pair` calls for `graph_members`.
@@ -535,21 +536,23 @@ def test_bulk_fill_matches_splitmix64(num, den, seed, start, length):
         assert bytes(backend._buf) == per_index_bits(seed, num, den, filled)
 
 
-# Dens of the direct remainder, whose carry bit F = 64 + (den - 1).bit_length()
-# is bit 0 of byte 15 (2^55 + 1 and 2^56 - 1: F = 120), bit 1 of byte 15
-# (2^56 + 1: F = 121) and bit 7 of byte 15 (2^63 - 1: F = 127); at a power
-# of two 2^L it is bit F = L: bit 1 of byte 0 at 2^1, bit 0 of byte 1 at 2^8,
-# bit 0 of byte 7 at 2^56, bit 1 of byte 7 at 2^57 and bit 7 of byte 7 at
-# 2^63.  The powers of two cut the mixer's multipliers to min(64, L + 58) and
-# min(64, L + 31) bits: the first is 59 to 64 bits wide at 2^1 to 2^6, the
-# second 2 and 3 CPython digits at 2^29 and 2^30, and 63 and 64 bits at 2^32
-# and 2^33.  Then dens on both sides of 2^63 and 2^64, where the clamped
-# carries take over; at every num where the carries change, for requests
-# that end mid-step, each filled to the end of its step.
+# Each den's readout leaves the byte of a lane that holds its bit in byte 0.  At a
+# power of two 2^L up to 2^7 (F = L < 8) that byte is x = v mod 2^L itself, read as
+# x < num: 2^1 to 2^7, with 2^7 the last.  Every other den up to 2^63 shifts the byte of
+# x + 2^F - t that holds its carry bit F to byte 0, then masks off the next lane's low
+# bits: bit 0 of byte 1 at 2^8, the first; bit 0 of byte 7 at 2^56, bit 1 of byte 7 at
+# 2^57 and bit 7 of byte 7 at 2^63; and, with F = 64 + (den - 1).bit_length(), bit 0 of
+# byte 15 at 2^55 + 1 and 2^56 - 1 (F = 120), bit 1 of byte 15 at 2^56 + 1 (F = 121)
+# and bit 7 of byte 15 at 2^63 - 1 (F = 127).  The powers of two cut the mixer's
+# multipliers to min(64, L + 58) and min(64, L + 31) bits: the first is 59 to 64 bits
+# wide at 2^1 to 2^6, the second 2 and 3 CPython digits at 2^29 and 2^30, and 63 and 64
+# bits at 2^32 and 2^33.  Then dens on both sides of 2^63 and 2^64, where the clamped
+# carries into bit 64 take over, shifted down to bit 0; at every num where the carries
+# change, for requests that end mid-step, each filled to the end of its step.
 GRID_DENS = [
-    1, 2, 3, 5, 6, 7, 10, 2**8, 1000003, 2**32 - 1, 2**32 + 1, 2**55 + 1, 2**56 - 1,
-    2**56, 2**56 + 1, 2**57, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64,
-    2**64 + 1, 2**65, 3**50,
+    1, 2, 3, 5, 6, 7, 10, 2**7, 2**8, 1000003, 2**32 - 1, 2**32 + 1, 2**55 + 1,
+    2**56 - 1, 2**56, 2**56 + 1, 2**57, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1,
+    2**64 - 1, 2**64, 2**64 + 1, 2**65, 3**50,
     4, 8, 16, 32, 64, 2**29, 2**30, 2**32, 2**33,
 ]
 GRID_LENGTHS = [1, 1023, 4097, 3 * _CHUNK + 5]
@@ -615,7 +618,7 @@ def test_fill_through_mixed_requests_matches_splitmix64(seed):
     assert _CHUNK == 4096
     words = [splitmix64(seed, i) for i in range(14 * _CHUNK)]
     for den in [2, 4, 2**63, 2**64, 5, 7, 2**62 + 1, 3**50,
-                8, 16, 32, 64, 2**29, 2**30, 2**32, 2**33]:
+                8, 16, 32, 64, 2**29, 2**30, 2**32, 2**33, 128, 256]:
         for num in sorted({1, den // 3, den - 1}):
             backend = _SeededBits(seed, num, den)
             for upto in MIXED_ENSURES:
@@ -641,6 +644,55 @@ def test_fill_multipliers_are_cut_to_the_bits_read(num, den, muls, widths):
     backend = _SeededBits(7, num, den)
     assert backend._muls == muls
     assert tuple(mul.bit_length() for mul in backend._muls) == widths
+
+
+def rev4(r):
+    return int(f"{r:04b}"[::-1], 2)
+
+
+def strided_readout(lanes):
+    """Byte 0 of each 128-bit lane by one 64 KB serialisation and a stride, reordered
+    to bit order: bit 16k + rev4(m) is lane k + 256m."""
+    in_lane_order = lanes.to_bytes(16 * _CHUNK, "little")[::16]
+    return bytes(in_lane_order[j // 16 + 256 * rev4(j % 16)] for j in range(_CHUNK))
+
+
+def one_byte_lanes(lane_bytes):
+    return int.from_bytes(b"".join(bytes((b,)) + bytes(15) for b in lane_bytes), "little")
+
+
+# One byte in every lane: random bytes from a drawn seed, some lanes then set to drawn
+# bytes, or 0xFF in every lane; and 0xFF in one lane alone: the first and last lane,
+# each side of the last fold's halves (255, 256) and of the first's (2047, 2048).
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       overrides=st.dictionaries(st.integers(0, _CHUNK - 1), st.integers(0, 255)))
+@example(seed=0, overrides=dict.fromkeys(range(_CHUNK), 0xFF))
+def test_pack_matches_the_strided_readout(seed, overrides):
+    assert _CHUNK == 4096
+    lane_bytes = bytearray(random.Random(seed).randbytes(_CHUNK))
+    for lane, byte in overrides.items():
+        lane_bytes[lane] = byte
+    lanes = one_byte_lanes(lane_bytes)
+    assert streams._pack(lanes) == strided_readout(lanes)
+
+
+@pytest.mark.parametrize("lane", [0, 255, 256, 2047, 2048, 4095])
+def test_pack_moves_one_lane_to_its_bit(lane):
+    lanes = 0xFF << (128 * lane)
+    packed = streams._pack(lanes)
+    assert packed == strided_readout(lanes)
+    assert packed.index(0xFF) == 16 * (lane % 256) + rev4(lane // 256)
+
+
+def test_lanes_hold_the_inputs_of_the_bits_pack_puts_there():
+    steps, ones, low, stride = streams._lanes()
+    gamma = streams.SPLITMIX_GAMMA
+    lanes = [steps >> (128 * lane) & ((1 << 128) - 1) for lane in range(_CHUNK)]
+    assert lanes == [(16 * k + rev4(m) + 1) * gamma % 2**64
+                     for m in range(16) for k in range(256)]
+    assert (ones, low, stride) == (one_byte_lanes([1] * _CHUNK), ones * (2**64 - 1),
+                                   ones * (_CHUNK * gamma % 2**64))
 
 
 # Counts and selects read whole chunks, so they are checked one bit below,
